@@ -238,13 +238,22 @@ func (a *Analysis) DefClasses() []DefClass {
 			continue
 		}
 		out = append(out, DefClass{
-			Event:     int64(i),
-			InstrID:   e.Instr.ID,
-			Width:     trace.DefWidth(e.Instr),
-			ACE:       a.ACEMask[i],
-			CrashMask: a.CrashResult.DefMask(int64(i)),
+			Event:   int64(i),
+			InstrID: e.Instr.ID,
+			Width:   trace.DefWidth(e.Instr),
+			ACE:     a.ACEMask[i],
 		})
 	}
+	// Both lists are in event order: merge the crash masks in one pass.
+	j := 0
+	a.CrashResult.Defs(func(ev int64, mask uint64) {
+		for j < len(out) && out[j].Event < ev {
+			j++
+		}
+		if j < len(out) && out[j].Event == ev {
+			out[j].CrashMask = mask
+		}
+	})
 	return out
 }
 
@@ -295,9 +304,6 @@ func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
-				if m, ok := a.CrashResult.DefCrashBits[int64(i)]; ok {
-					v.CrashBits += int64(crash.PopCount(m))
-				}
 			}
 			continue
 		}
@@ -310,12 +316,22 @@ func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
-				if m, ok := a.CrashResult.CrashBits[trace.Use{Event: int64(i), Op: op}]; ok {
-					v.CrashBits += int64(crash.PopCount(m))
-				}
 			}
 		}
 	}
+	// Crash bits: the def's mask for value-defining instructions, the
+	// register reads' masks for void ones — ACE events only, as above.
+	a.CrashResult.Defs(func(ev int64, mask uint64) {
+		if in := tr.Events[ev].Instr; a.ACEMask[ev] && trace.IsDef(in) {
+			out[in].CrashBits += int64(crash.PopCount(mask))
+		}
+	})
+	a.CrashResult.Uses(func(u trace.Use, mask uint64) {
+		in := tr.Events[u.Event].Instr
+		if a.ACEMask[u.Event] && !trace.IsDef(in) && trace.InjectableOperand(in, u.Op) {
+			out[in].CrashBits += int64(crash.PopCount(mask))
+		}
+	})
 	return out
 }
 

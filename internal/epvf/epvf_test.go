@@ -2,6 +2,8 @@ package epvf
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -166,6 +168,41 @@ func TestAnalyzeTraceMatchesAnalyzeModule(t *testing.T) {
 	}
 	if a1.PVF() != a2.PVF() || a1.EPVF() != a2.EPVF() {
 		t.Error("AnalyzeTrace and AnalyzeModule disagree on the same program")
+	}
+}
+
+// TestConcurrentAnalyzeTraceSharedTrace: the analysis daemon analyzes one
+// cached trace from several requests at once, so the walk scratch must be
+// per call. Four goroutines analyze one shared trace; every result must
+// equal a serial analysis, down to the per-def crash masks.
+func TestConcurrentAnalyzeTraceSharedTrace(t *testing.T) {
+	b, _ := bench.Get("mm")
+	res, err := interp.Run(b.MustModule(1), interp.Config{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := AnalyzeTrace(res.Trace, Config{})
+	wantDefs := want.DefClasses()
+	got := make([]*Analysis, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = AnalyzeTrace(res.Trace, Config{})
+		}(i)
+	}
+	wg.Wait()
+	for i, a := range got {
+		if a.TotalBits != want.TotalBits || a.ACEBits != want.ACEBits ||
+			a.CrashResult.CrashBitCount != want.CrashResult.CrashBitCount ||
+			a.CrashResult.UseCrashBitCount != want.CrashResult.UseCrashBitCount ||
+			a.CrashResult.AccessesAnalyzed != want.CrashResult.AccessesAnalyzed {
+			t.Fatalf("goroutine %d: numerators differ from the serial analysis", i)
+		}
+		if !reflect.DeepEqual(a.DefClasses(), wantDefs) {
+			t.Fatalf("goroutine %d: per-def crash masks differ from the serial analysis", i)
+		}
 	}
 }
 

@@ -61,11 +61,14 @@ func (a *Analysis) PerFunction() []*FuncVuln {
 		v.TotalBits += w
 		if a.ACEMask[i] {
 			v.ACEBits += w
-			if m, ok := a.CrashResult.DefCrashBits[int64(i)]; ok {
-				v.CrashBits += int64(crash.PopCount(m))
-			}
 		}
 	}
+	a.CrashResult.Defs(func(ev int64, mask uint64) {
+		in := tr.Events[ev].Instr
+		if fn := in.Func(); fn != nil && a.ACEMask[ev] && trace.IsDef(in) {
+			byFunc[fn].CrashBits += int64(crash.PopCount(mask))
+		}
+	})
 	out := make([]*FuncVuln, 0, len(byFunc))
 	for _, v := range byFunc {
 		out = append(out, v)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/crash"
 	"repro/internal/ddg"
@@ -79,22 +78,16 @@ func AblationStackRule(s *Suite) (*AblationStackRuleResult, error) {
 		FullBits:  full.CrashBitCount,
 		NaiveBits: naive.CrashBitCount,
 	}
-	// The delta set: naive-only predictions.
+	// The delta set: naive-only predictions, in (event, bit) order.
 	var delta []fi.Target
-	for def, nm := range naive.DefCrashBits {
-		only := nm &^ full.DefCrashBits[def]
+	naive.Defs(func(def int64, nm uint64) {
+		only := nm &^ full.DefMask(def)
 		for b := 0; b < 64; b++ {
 			if only&(1<<uint(b)) != 0 {
 				delta = append(delta, fi.Target{Event: def, Bit: b})
 				res.DeltaBits++
 			}
 		}
-	}
-	sort.Slice(delta, func(i, j int) bool {
-		if delta[i].Event != delta[j].Event {
-			return delta[i].Event < delta[j].Event
-		}
-		return delta[i].Bit < delta[j].Bit
 	})
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 11))
 	if len(delta) > s.Cfg.PrecisionSamples {

@@ -6,16 +6,17 @@
 // raw integer numerators are bit-identical to a from-scratch run.
 //
 // Why composition is exact: the propagation model is a union of
-// independent backward walks, one per ACE memory access (the existing
-// parallel path in internal/rangeprop already relies on this — crash
-// masks merge by union). Partitioning the walks by the function owning
-// the seeding access therefore changes nothing about the result. What a
-// cached walk result additionally needs is a guarantee that re-running
-// the walk today would read exactly the bytes it read when it was
-// computed; the section slice hash (see section.go) and the recorded
-// footprint (see profile.go) provide it: a profile is only reused when
-// every section its walks traversed hashes identically now, which makes
-// every step of every walk retrace bit-identically.
+// independent backward walks, one per ACE memory access, whose crash
+// masks merge by union (internal/rangeprop property-tests that Analyze
+// equals the union over any partition of its seeds). Partitioning the
+// walks by the function owning the seeding access therefore changes
+// nothing about the result. What a cached walk result additionally needs
+// is a guarantee that re-running the walk today would read exactly the
+// bytes it read when it was computed; the section slice hash (see
+// section.go) and the recorded footprint (see profile.go) provide it: a
+// profile is only reused when every section its walks traversed hashes
+// identically now, which makes every step of every walk retrace
+// bit-identically.
 //
 // The interpreter profile and the DDG/ACE construction re-run on every
 // analysis — they are the cheap near-linear part, and re-running them is
@@ -43,8 +44,7 @@ type Config struct {
 	// Store holds the section manifests and profiles. Required.
 	Store *cache.Store
 	// Epvf is the underlying analysis configuration. Prop.MaxDepth and
-	// Prop.ExactAddress participate in every cache key; Prop.Parallel
-	// only affects fresh walks.
+	// Prop.ExactAddress participate in every cache key.
 	Epvf epvf.Config
 	// Registry receives the epvf_inc_* metrics; nil falls back to the
 	// process default at call time.
@@ -184,17 +184,17 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) (*Result, error) {
 	r.Stats.SectionizeTime = time.Since(t1)
 
 	cfgKey := cfg.cfgKey()
-	merged := &rangeprop.Result{
-		CrashBits:    make(map[trace.Use]uint64),
-		DefCrashBits: make(map[int64]uint64),
-	}
+	// One walker serves every fresh section, so its trace-sized scratch is
+	// allocated once per analysis rather than once per section; the merge
+	// then takes over its mask array.
+	w := rangeprop.NewWalker(tr, cfg.Epvf.Prop)
 	var profiles []*sectionProfile
 	for _, s := range p.sections {
 		info := SectionInfo{Name: s.name, Hash: s.hash, Events: int64(len(s.events)), Seeds: len(s.seeds)}
 		pr, ok := cfg.loadSection(p, s, cfgKey)
 		if !ok {
 			tw := time.Now()
-			pr = cfg.computeSection(tr, p, s, cfgKey)
+			pr = cfg.computeSection(w, p, s, cfgKey)
 			r.Stats.ModelsTime += time.Since(tw)
 			r.Stats.Recomputed++
 		} else {
@@ -206,21 +206,26 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) (*Result, error) {
 	}
 
 	t2 := time.Now()
-	for i, pr := range profiles {
-		if err := pr.addTo(p, merged); err != nil {
-			// A cached profile that does not fit this partition is a
-			// corrupt or mis-keyed entry; recompute the section fresh
-			// rather than fail the analysis. (Fresh profiles fit by
-			// construction.)
-			s := p.sections[i]
-			fresh := cfg.computeSection(tr, p, s, cfgKey)
-			if err := fresh.addTo(p, merged); err != nil {
+	merged := w.Result()
+	for i := 0; i < len(profiles); i++ {
+		if err := profiles[i].addTo(p, merged); err != nil {
+			if !r.Stats.Sections[i].Reused {
+				// Fresh profiles fit by construction.
 				root.Add("error", 1)
 				return nil, err
 			}
+			// A cached profile that does not fit this partition is a
+			// corrupt or mis-keyed entry; recompute the section fresh
+			// rather than fail the analysis, and restart the merge: the
+			// bad profile may have merged entries before the one that
+			// failed. Each restart retires one cached profile.
+			w = rangeprop.NewWalker(tr, cfg.Epvf.Prop)
+			profiles[i] = cfg.computeSection(w, p, p.sections[i], cfgKey)
 			r.Stats.Sections[i].Reused = false
 			r.Stats.Reused--
 			r.Stats.Recomputed++
+			merged = w.Result()
+			i = -1
 		}
 	}
 	merged.Finalize(tr)
@@ -288,10 +293,10 @@ func depsMatch(p *partition, deps []footprintDep) bool {
 
 // computeSection runs the section's walks fresh, recording the footprint,
 // and stores the manifest + profile for next time.
-func (cfg *Config) computeSection(tr *trace.Trace, p *partition, s *section, cfgKey string) *sectionProfile {
+func (cfg *Config) computeSection(w *rangeprop.Walker, p *partition, s *section, cfgKey string) *sectionProfile {
 	touched := make(map[int32]bool)
 	touched[int32(s.index)] = true // the seeds themselves live here
-	res := rangeprop.AnalyzeSeeds(tr, cfg.Epvf.Prop, s.seeds, func(ev int64) {
+	res := w.AnalyzeSeeds(s.seeds, func(ev int64) {
 		touched[p.owner[ev]] = true
 	})
 	pr := buildProfile(res, p)

@@ -1,6 +1,7 @@
 package inc
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,11 +10,14 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/ddg"
 	"repro/internal/epvf"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/protect"
 	"repro/internal/rangeprop"
+	"repro/internal/trace"
 )
 
 func memStore(t *testing.T) *cache.Store {
@@ -51,12 +55,30 @@ func assertSameAnalysis(t *testing.T, label string, want, got *epvf.Analysis) {
 			label, w.CrashBitCount, g.CrashBitCount, w.UseCrashBitCount, g.UseCrashBitCount,
 			w.AccessesAnalyzed, g.AccessesAnalyzed)
 	}
-	if !reflect.DeepEqual(w.CrashBits, g.CrashBits) {
-		t.Fatalf("%s: per-use crash masks differ (%d vs %d entries)", label, len(w.CrashBits), len(g.CrashBits))
+	if wu, gu := useMasks(w), useMasks(g); !reflect.DeepEqual(wu, gu) {
+		t.Fatalf("%s: per-use crash masks differ (%d vs %d entries)", label, len(wu), len(gu))
 	}
-	if !reflect.DeepEqual(w.DefCrashBits, g.DefCrashBits) {
-		t.Fatalf("%s: per-def crash masks differ (%d vs %d entries)", label, len(w.DefCrashBits), len(g.DefCrashBits))
+	if wd, gd := defMasks(w), defMasks(g); !reflect.DeepEqual(wd, gd) {
+		t.Fatalf("%s: per-def crash masks differ (%d vs %d entries)", label, len(wd), len(gd))
 	}
+}
+
+// maskAt is one nonzero crash mask of a result's per-use or per-def view.
+type maskAt struct {
+	use  trace.Use
+	mask uint64
+}
+
+func useMasks(r *rangeprop.Result) []maskAt {
+	var out []maskAt
+	r.Uses(func(u trace.Use, m uint64) { out = append(out, maskAt{u, m}) })
+	return out
+}
+
+func defMasks(r *rangeprop.Result) []maskAt {
+	var out []maskAt
+	r.Defs(func(ev int64, m uint64) { out = append(out, maskAt{trace.Use{Event: ev}, m}) })
+	return out
 }
 
 // coldWarm runs the incremental analysis twice against one store and
@@ -263,6 +285,68 @@ func TestProtectReuse(t *testing.T) {
 		if s.Name == "g" && !s.Reused {
 			t.Fatalf("section g recomputed after protecting f only: %+v", r.Stats.Sections)
 		}
+	}
+}
+
+// TestCorruptProfileOpRecomputes: a cached profile whose entry names an
+// operand its event's instruction does not have is rejected, and the
+// section is recomputed to a bit-identical result. An earlier entry of the
+// same profile is corrupted too (all bits set), so a merge that kept what
+// the bad profile contributed before the failing entry would show.
+func TestCorruptProfileOpRecomputes(t *testing.T) {
+	store := memStore(t)
+	m := compile(t, isolated)
+	coldWarm(t, "base", m, store, epvf.Config{})
+
+	golden, err := interp.Run(m, interp.Config{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := golden.Trace
+	ace := ddg.New(tr).ACEMask()
+	p := sectionize(tr, ace)
+	cfg := Config{Store: store}
+	p.hashSections(tr, ace, cfg.Epvf.Prop)
+	s := p.byName["f"]
+	raw, ok := store.Get(KindManifest, manifestKey(cfg.cfgKey(), s.name, s.hash))
+	if !ok {
+		t.Fatal("no manifest for section f")
+	}
+	var mf manifest
+	if err := json.Unmarshal(raw, &mf); err != nil || len(mf.Entries) == 0 {
+		t.Fatalf("manifest: %v (%d entries)", err, len(mf.Entries))
+	}
+	pk := profileKey(cfg.cfgKey(), s.name, mf.Entries[0])
+	praw, ok := store.Get(KindSection, pk)
+	if !ok {
+		t.Fatal("no profile for section f")
+	}
+	pr, err := decodeProfile(praw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Entries) < 2 {
+		t.Fatalf("profile of f has %d entries, want at least 2", len(pr.Entries))
+	}
+	pr.Entries[0].Mask = ^uint64(0)
+	last := &pr.Entries[len(pr.Entries)-1]
+	ev := p.byName[pr.Names[last.NameIdx]].events[last.Ordinal]
+	last.Op = trace.NumOperands(tr.Events[ev].Instr)
+	if err := store.Put(KindSection, pk, pr.encode()); err != nil {
+		t.Fatal(err)
+	}
+
+	want, _, err := epvf.AnalyzeModule(m, epvf.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := AnalyzeModule(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnalysis(t, "corrupt op", want, r.Analysis)
+	if names := r.Stats.RecomputedNames(); len(names) != 1 || names[0] != "f" {
+		t.Fatalf("recomputed sections = %v, want exactly [f]", names)
 	}
 }
 

@@ -19,6 +19,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 	g := ddg.New(res.Trace)
 	mask := g.ACEMask()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := Analyze(res.Trace, g, mask, Config{})
@@ -38,6 +39,7 @@ func BenchmarkAnalyzeExact(b *testing.B) {
 	}
 	g := ddg.New(res.Trace)
 	mask := g.ACEMask()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Analyze(res.Trace, g, mask, Config{ExactAddress: true})

@@ -2,6 +2,8 @@ package rangeprop
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -51,7 +53,7 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 	if res.CrashBitCount == 0 || res.UseCrashBitCount == 0 {
 		t.Fatal("no crash bits found")
 	}
-	if len(res.DefCrashBits) == 0 {
+	if len(res.defs) == 0 {
 		t.Fatal("no def-level crash bits")
 	}
 	// Every address-producing gep def must have crash bits (flipping its
@@ -62,7 +64,7 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 			continue
 		}
 		geps++
-		if res.DefCrashBits[int64(i)] != 0 {
+		if res.DefMask(int64(i)) != 0 {
 			gepsWithBits++
 		}
 	}
@@ -78,7 +80,7 @@ func TestHighAddressBitsAreCrashBits(t *testing.T) {
 		if e.Instr.Op != ir.OpGEP {
 			continue
 		}
-		mask := res.DefCrashBits[int64(i)]
+		mask := res.DefMask(int64(i))
 		// Bits 40..63 of a heap address always escape any segment.
 		for bit := 40; bit < 64; bit++ {
 			if mask&(1<<uint(bit)) == 0 {
@@ -102,7 +104,7 @@ func TestPredictedCrashBitsActuallyCrash(t *testing.T) {
 	tr, res := analyzeSrc(t, src, Config{})
 	_ = tr
 	total, crashed, tried := 0, 0, 0
-	for def, mask := range res.DefCrashBits {
+	res.Defs(func(def int64, mask uint64) {
 		for bit := 0; bit < 64; bit++ {
 			if mask&(1<<uint(bit)) == 0 {
 				continue
@@ -121,7 +123,7 @@ func TestPredictedCrashBitsActuallyCrash(t *testing.T) {
 				crashed++
 			}
 		}
-	}
+	})
 	if tried < 20 {
 		t.Fatalf("too few predicted bits sampled: %d", tried)
 	}
@@ -156,23 +158,26 @@ func TestExactAddressModeDiffers(t *testing.T) {
 
 func TestPredictedAccessors(t *testing.T) {
 	_, res := analyzeSrc(t, arraySumSrc, Config{})
-	found := false
-	for u, mask := range res.CrashBits {
+	uses, defs := 0, 0
+	res.Uses(func(u trace.Use, mask uint64) {
+		uses++
+		if res.UseMask(u) != mask {
+			t.Fatalf("UseMask(%v) = %#x, Uses visited %#x", u, res.UseMask(u), mask)
+		}
 		for bit := 0; bit < 64; bit++ {
-			if mask&(1<<uint(bit)) != 0 {
-				if !res.Predicted(u, bit) {
-					t.Fatal("Predicted disagrees with mask")
-				}
-				found = true
-				break
+			if res.Predicted(u, bit) != (mask&(1<<uint(bit)) != 0) {
+				t.Fatalf("Predicted(%v, %d) disagrees with mask %#x", u, bit, mask)
 			}
 		}
-		if found {
-			break
+	})
+	res.Defs(func(ev int64, mask uint64) {
+		defs++
+		if res.DefMask(ev) != mask || !res.PredictedDefMask(ev, mask) {
+			t.Fatalf("DefMask(%d) = %#x, Defs visited %#x", ev, res.DefMask(ev), mask)
 		}
-	}
-	if !found {
-		t.Fatal("no crash bits to check")
+	})
+	if uses == 0 || defs == 0 {
+		t.Fatalf("no crash bits to check: %d uses, %d defs", uses, defs)
 	}
 	if res.Predicted(trace.Use{Event: 1 << 40, Op: 9}, 3) {
 		t.Error("Predicted true for unknown use")
@@ -325,8 +330,8 @@ void main() {
 		if e.Instr.Op != ir.OpAdd || !e.Instr.Type().Equal(ir.I32) {
 			continue
 		}
-		mask, ok := res.DefCrashBits[int64(i)]
-		if !ok {
+		mask := res.DefMask(int64(i))
+		if mask == 0 {
 			continue
 		}
 		if mask&(1<<31) == 0 {
@@ -340,7 +345,12 @@ void main() {
 	t.Fatal("no index-add def with crash bits found")
 }
 
-func TestParallelAnalyzeMatchesSerial(t *testing.T) {
+// TestAnalyzeEqualsUnionOfSeedPartitions is the invariant the incremental
+// layer relies on: a whole-trace Analyze equals the union, merged with
+// OrUse, of AnalyzeSeeds over any partition of its seeds — here random
+// partitions into random numbers of parts, each part walked by a fresh
+// call or by one reused Walker.
+func TestAnalyzeEqualsUnionOfSeedPartitions(t *testing.T) {
 	m, err := lang.Compile("t", arraySumSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -349,25 +359,90 @@ func TestParallelAnalyzeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ddg.New(res.Trace)
+	tr := res.Trace
+	g := ddg.New(tr)
 	mask := g.ACEMask()
-	serial := Analyze(res.Trace, g, mask, Config{})
-	parallel := Analyze(res.Trace, g, mask, Config{Parallel: 8})
-	if serial.AccessesAnalyzed != parallel.AccessesAnalyzed {
-		t.Fatalf("accesses: %d vs %d", serial.AccessesAnalyzed, parallel.AccessesAnalyzed)
-	}
-	if serial.CrashBitCount != parallel.CrashBitCount ||
-		serial.UseCrashBitCount != parallel.UseCrashBitCount {
-		t.Fatalf("bit counts differ: %d/%d vs %d/%d",
-			serial.CrashBitCount, serial.UseCrashBitCount,
-			parallel.CrashBitCount, parallel.UseCrashBitCount)
-	}
-	if len(serial.CrashBits) != len(parallel.CrashBits) {
-		t.Fatal("crash-bit maps differ in size")
-	}
-	for u, mseq := range serial.CrashBits {
-		if parallel.CrashBits[u] != mseq {
-			t.Fatalf("use %v: masks differ", u)
+	whole := Analyze(tr, g, mask, Config{})
+	wantUses, wantDefs := masksOf(whole)
+	seeds := Seeds(tr, mask)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 8; trial++ {
+		parts := make([][]int64, 1+rng.Intn(6))
+		for _, ev := range seeds {
+			k := rng.Intn(len(parts))
+			parts[k] = append(parts[k], ev)
 		}
+		reuse := trial%2 == 1
+		w := NewWalker(tr, Config{})
+		merged := NewWalker(tr, Config{}).Result()
+		for _, part := range parts {
+			var r *Result
+			if reuse {
+				r = w.AnalyzeSeeds(part, nil)
+			} else {
+				r = AnalyzeSeeds(tr, Config{}, part, nil)
+			}
+			merged.AccessesAnalyzed += r.AccessesAnalyzed
+			r.Uses(func(u trace.Use, m uint64) {
+				if err := merged.OrUse(u, m); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		merged.Finalize(tr)
+		if merged.AccessesAnalyzed != whole.AccessesAnalyzed ||
+			merged.CrashBitCount != whole.CrashBitCount ||
+			merged.UseCrashBitCount != whole.UseCrashBitCount {
+			t.Fatalf("trial %d (%d parts, reuse %v): counts %d/%d/%d, want %d/%d/%d", trial, len(parts), reuse,
+				merged.AccessesAnalyzed, merged.CrashBitCount, merged.UseCrashBitCount,
+				whole.AccessesAnalyzed, whole.CrashBitCount, whole.UseCrashBitCount)
+		}
+		gotUses, gotDefs := masksOf(merged)
+		if !reflect.DeepEqual(gotUses, wantUses) || !reflect.DeepEqual(gotDefs, wantDefs) {
+			t.Fatalf("trial %d (%d parts, reuse %v): masks differ from the whole-trace analysis", trial, len(parts), reuse)
+		}
+	}
+}
+
+// masksOf collects a result's per-use and per-def masks as maps.
+func masksOf(r *Result) (map[trace.Use]uint64, map[int64]uint64) {
+	uses, defs := map[trace.Use]uint64{}, map[int64]uint64{}
+	r.Uses(func(u trace.Use, m uint64) { uses[u] = m })
+	r.Defs(func(ev int64, m uint64) { defs[ev] = m })
+	return uses, defs
+}
+
+func TestOrUseRejectsMissingOperands(t *testing.T) {
+	tr, _ := analyzeSrc(t, arraySumSrc, Config{})
+	r := NewWalker(tr, Config{}).Result()
+	var load int64 = -1
+	for i := range tr.Events {
+		if tr.Events[i].Instr.Op == ir.OpLoad {
+			load = int64(i)
+			break
+		}
+	}
+	if load < 0 {
+		t.Fatal("no load event")
+	}
+	for _, u := range []trace.Use{
+		{Event: -1, Op: 0},
+		{Event: tr.NumEvents(), Op: 0},
+		{Event: load, Op: -1},
+		{Event: load, Op: 1}, // a load has one operand
+	} {
+		if err := r.OrUse(u, 1); err == nil {
+			t.Errorf("OrUse(%v) accepted a use the trace does not have", u)
+		}
+	}
+	if err := r.OrUse(trace.Use{Event: load, Op: 0}, 0x10); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.UseMask(trace.Use{Event: load, Op: 0}); got != 0x10 {
+		t.Fatalf("UseMask after OrUse = %#x, want 0x10", got)
+	}
+	r.Finalize(tr)
+	if err := r.OrUse(trace.Use{Event: load, Op: 0}, 1); err == nil {
+		t.Error("OrUse accepted a use after Finalize")
 	}
 }
