@@ -59,21 +59,22 @@ func (m *Model) Boundary(tr *trace.Trace, ev int64) (Bound, bool) {
 	if r := obs.Default(); r != nil {
 		r.Counter("epvf_crash_boundaries_total").Inc()
 	}
-	e := &tr.Events[ev]
-	if !e.IsMemAccess() {
+	if !tr.IsMemAccess(ev) {
 		return Bound{}, false
 	}
-	vmas := tr.Snapshots[e.VMAVer]
+	a := tr.Mem(ev)
+	vmas := tr.Snapshots[a.VMAVer]
 	if vmas == nil {
 		return Bound{}, false
 	}
-	write := e.Instr.Op == ir.OpStore
-	lo, hi, ok := mem.Resolve(vmas, e.SP, tr.Layout.StackTop, tr.Layout.StackRLimit,
-		e.Addr, write, m.StackRule)
+	in := tr.Instr(ev)
+	write := in.Op == ir.OpStore
+	lo, hi, ok := mem.Resolve(vmas, a.SP, tr.Layout.StackTop, tr.Layout.StackRLimit,
+		a.Addr, write, m.StackRule)
 	if !ok {
 		return Bound{}, false
 	}
-	size := e.Instr.Elem.Size()
+	size := in.Elem.Size()
 	return Bound{Lo: int64(lo), Hi: int64(hi) - size}, true
 }
 
@@ -83,15 +84,16 @@ func (m *Model) Boundary(tr *trace.Trace, ev int64) (Bound, bool) {
 // exact-address ablation: a flipped address can land in a *different* valid
 // VMA, which interval propagation cannot see.
 func (m *Model) WouldFault(tr *trace.Trace, ev int64, addr uint64) bool {
-	e := &tr.Events[ev]
-	vmas := tr.Snapshots[e.VMAVer]
+	acc := tr.Mem(ev)
+	vmas := tr.Snapshots[acc.VMAVer]
 	if vmas == nil {
 		return false
 	}
-	write := e.Instr.Op == ir.OpStore
-	size := uint64(e.Instr.Elem.Size())
+	in := tr.Instr(ev)
+	write := in.Op == ir.OpStore
+	size := uint64(in.Elem.Size())
 	for _, a := range []uint64{addr, addr + size - 1} {
-		if _, _, ok := mem.Resolve(vmas, e.SP, tr.Layout.StackTop, tr.Layout.StackRLimit,
+		if _, _, ok := mem.Resolve(vmas, acc.SP, tr.Layout.StackTop, tr.Layout.StackRLimit,
 			a, write, m.StackRule); !ok {
 			return true
 		}
@@ -103,19 +105,45 @@ func (m *Model) WouldFault(tr *trace.Trace, ev int64, addr uint64) bool {
 // given width) that escape the bound under the signed interpretation — the
 // "bits that make the value of op outside (new_max, new_min)" step of
 // Algorithm 2.
+//
+// It is closed-form rather than a test of each flip. With s the signed
+// value, flipping a clear bit k below the sign bit yields s + 2^k, which
+// escapes iff 2^k > Hi − s or 2^k < Lo − s; flipping a set one yields
+// s − 2^k, which escapes iff 2^k > s − Lo or 2^k < s − Hi. For a
+// difference d ≥ 0, 2^k > d holds exactly for k ≥ bits.Len64(d), and for
+// d > 0, 2^k < d exactly for k < bits.Len64(d−1), so each condition is a
+// suffix or prefix mask of the bit positions. Only the sign bit is tested
+// directly.
 func MaskFromBound(v uint64, width int, b Bound) uint64 {
-	if b.IsUnconstrained() {
+	if b.IsUnconstrained() || width <= 0 {
 		return 0
 	}
-	var m uint64
-	for bit := 0; bit < width; bit++ {
-		f := ir.SignExtend(v^(1<<uint(bit)), width)
-		if f < b.Lo || f > b.Hi {
-			m |= 1 << uint(bit)
+	width = min(width, 64)
+	s := ir.SignExtend(v, width)
+	// up: positions whose flip escapes when the bit is clear; down: when set.
+	up, down := ^uint64(0), ^uint64(0)
+	if s <= b.Hi {
+		up = ^lowBits(bits.Len64(uint64(b.Hi) - uint64(s)))
+		if s < b.Lo {
+			up |= lowBits(bits.Len64(uint64(b.Lo) - uint64(s) - 1))
 		}
+	}
+	if s >= b.Lo {
+		down = ^lowBits(bits.Len64(uint64(s) - uint64(b.Lo)))
+		if s > b.Hi {
+			down |= lowBits(bits.Len64(uint64(s) - uint64(b.Hi) - 1))
+		}
+	}
+	sign := uint64(1) << uint(width-1)
+	m := (up&^v | down&v) & (sign - 1)
+	if f := ir.SignExtend(v^sign, width); f < b.Lo || f > b.Hi {
+		m |= sign
 	}
 	return m
 }
+
+// lowBits returns the mask of bit positions below n (all 64 for n = 64).
+func lowBits(n int) uint64 { return uint64(1)<<uint(n) - 1 }
 
 // MaskExact returns the bitmask of single-bit flips of the address operand
 // of event ev that the exact VMA oracle predicts to fault.

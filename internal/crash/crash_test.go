@@ -2,8 +2,8 @@ package crash
 
 import (
 	"math"
+	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -39,9 +39,9 @@ void main() {
 `
 
 func firstAccess(tr *trace.Trace, op ir.Opcode) int64 {
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op == op {
-			return int64(i)
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op == op {
+			return i
 		}
 	}
 	return -1
@@ -51,18 +51,17 @@ func TestBoundaryContainsActualAddress(t *testing.T) {
 	tr := record(t, heapAccessSrc)
 	model := NewModel()
 	checked := 0
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if !e.IsMemAccess() {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if !tr.IsMemAccess(i) {
 			continue
 		}
-		b, ok := model.Boundary(tr, int64(i))
+		b, ok := model.Boundary(tr, i)
 		if !ok {
 			t.Fatalf("Boundary failed for access at event %d", i)
 		}
-		if !b.Contains(int64(e.Addr)) {
+		if addr := tr.Mem(i).Addr; !b.Contains(int64(addr)) {
 			t.Fatalf("recorded address %#x outside computed bound [%#x, %#x]",
-				e.Addr, b.Lo, b.Hi)
+				addr, b.Lo, b.Hi)
 		}
 		checked++
 	}
@@ -82,10 +81,11 @@ func TestBoundaryAccountsForAccessWidth(t *testing.T) {
 	if !ok {
 		t.Fatal("Boundary failed")
 	}
-	size := tr.Events[ev].Instr.Elem.Size()
+	size := tr.Instr(ev).Elem.Size()
 	// The last valid address must leave room for the full access.
-	lo, hi, okR := mem.Resolve(tr.Snapshots[tr.Events[ev].VMAVer], tr.Events[ev].SP,
-		tr.Layout.StackTop, tr.Layout.StackRLimit, tr.Events[ev].Addr, true, true)
+	a := tr.Mem(ev)
+	lo, hi, okR := mem.Resolve(tr.Snapshots[a.VMAVer], a.SP,
+		tr.Layout.StackTop, tr.Layout.StackRLimit, a.Addr, true, true)
 	if !okR {
 		t.Fatal("Resolve failed on recorded access")
 	}
@@ -97,10 +97,10 @@ func TestBoundaryAccountsForAccessWidth(t *testing.T) {
 func TestBoundaryRejectsNonAccess(t *testing.T) {
 	tr := record(t, heapAccessSrc)
 	model := NewModel()
-	for i := range tr.Events {
-		if !tr.Events[i].IsMemAccess() {
-			if _, ok := model.Boundary(tr, int64(i)); ok {
-				t.Fatalf("Boundary accepted non-access event %d (%s)", i, tr.Events[i].Instr.Op)
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if !tr.IsMemAccess(i) {
+			if _, ok := model.Boundary(tr, i); ok {
+				t.Fatalf("Boundary accepted non-access event %d (%s)", i, tr.Instr(i).Op)
 			}
 			return
 		}
@@ -119,13 +119,12 @@ func TestWouldFaultAgreesWithInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := firstAccess(tr, ir.OpStore)
-	e := &tr.Events[ev]
-	addrDef := e.OpDefs[1]
+	addrDef := tr.OpDefs(ev)[1]
 	if addrDef == trace.NoDef {
 		t.Fatal("store address has no defining event")
 	}
 	for _, bit := range []int{2, 8, 16, 24, 33, 47, 63} {
-		predicted := model.WouldFault(tr, ev, e.Addr^(1<<uint(bit)))
+		predicted := model.WouldFault(tr, ev, tr.Mem(ev).Addr^(1<<uint(bit)))
 		inj := &interp.Injection{Event: addrDef, Bit: bit}
 		res, err := interp.Run(m, interp.Config{Injection: inj})
 		if err != nil {
@@ -179,27 +178,60 @@ func TestMaskFromBound(t *testing.T) {
 	}
 }
 
-func TestMaskFromBoundProperty(t *testing.T) {
-	// Property: a bit is in the mask iff the flipped value escapes the
-	// bound under signed interpretation.
-	f := func(v uint64, lo, hi int32) bool {
-		if lo > hi {
-			lo, hi = hi, lo
+// maskFromBoundLoop is the reference MaskFromBound: it tests each of the
+// width single-bit flips one at a time.
+func maskFromBoundLoop(v uint64, width int, b Bound) uint64 {
+	if b.IsUnconstrained() {
+		return 0
+	}
+	var m uint64
+	for bit := 0; bit < width; bit++ {
+		f := ir.SignExtend(v^(1<<uint(bit)), width)
+		if f < b.Lo || f > b.Hi {
+			m |= 1 << uint(bit)
 		}
-		b := Bound{Lo: int64(lo), Hi: int64(hi)}
-		mask := MaskFromBound(v, 32, b)
-		for bit := 0; bit < 32; bit++ {
-			flipped := ir.SignExtend(v^(1<<uint(bit)), 32)
-			escaped := flipped < b.Lo || flipped > b.Hi
-			inMask := mask&(1<<uint(bit)) != 0
-			if escaped != inMask {
-				return false
+	}
+	return m
+}
+
+// TestMaskFromBoundProperty checks the property that a bit is in the mask
+// iff the flipped value escapes the bound under signed interpretation:
+// the closed form must equal the one-flip-at-a-time loop over the widths
+// the IR uses, with bounds at and near the int64 extremes, empty bounds,
+// and values inside and outside the bound.
+func TestMaskFromBoundProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 31, -129, -1, 0, 1, 127, 1 << 31, math.MaxInt64 - 1, math.MaxInt64}
+	end := func(v int64) int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return edges[rng.Intn(len(edges))]
+		case 1:
+			return v + int64(rng.Intn(64)) - 32 // near the value
+		case 2:
+			return int64(rng.Uint64()) >> uint(rng.Intn(64))
+		default:
+			return int64(rng.Uint64())
+		}
+	}
+	for _, width := range []int{1, 8, 16, 32, 64} {
+		for i := 0; i < 200000; i++ {
+			v := rng.Uint64()
+			if rng.Intn(2) == 0 {
+				v = uint64(edges[rng.Intn(len(edges))])
+			}
+			s := ir.SignExtend(v, width)
+			b := Bound{Lo: end(s), Hi: end(s)}
+			if rng.Intn(8) != 0 && b.Lo > b.Hi {
+				b.Lo, b.Hi = b.Hi, b.Lo
+			}
+			if got, want := MaskFromBound(v, width, b), maskFromBoundLoop(v, width, b); got != want {
+				t.Fatalf("width %d v=%#x bound [%d, %d]: mask %#x, loop %#x", width, v, b.Lo, b.Hi, got, want)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	if MaskFromBound(5, 0, Bound{Lo: 0, Hi: 0}) != 0 {
+		t.Error("width 0 must yield an empty mask")
 	}
 }
 
@@ -237,7 +269,6 @@ void main() {
 	full := &Model{StackRule: true}
 	naive := &Model{StackRule: false}
 	ev := firstAccess(tr, ir.OpStore)
-	e := &tr.Events[ev]
 	fb, ok1 := full.Boundary(tr, ev)
 	nb, ok2 := naive.Boundary(tr, ev)
 	if !ok1 || !ok2 {
@@ -256,7 +287,6 @@ void main() {
 	if !naive.WouldFault(tr, ev, below) {
 		t.Error("naive model accepts an under-stack access it should reject")
 	}
-	_ = e
 }
 
 func TestPopCount(t *testing.T) {

@@ -44,18 +44,18 @@ func TestBoundaryOnMmapSegment(t *testing.T) {
 	model := crash.NewModel()
 	layout := mem.DefaultLayout()
 	inMmap := 0
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if !e.IsMemAccess() || e.Addr < layout.MmapBase {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		addr := tr.Mem(i).Addr
+		if !tr.IsMemAccess(i) || addr < layout.MmapBase {
 			continue
 		}
 		inMmap++
-		b, ok := model.Boundary(tr, int64(i))
+		b, ok := model.Boundary(tr, i)
 		if !ok {
 			t.Fatalf("Boundary failed on mmap access at event %d", i)
 		}
-		if !b.Contains(int64(e.Addr)) {
-			t.Fatalf("mmap address %#x outside bound [%#x, %#x]", e.Addr, b.Lo, b.Hi)
+		if !b.Contains(int64(addr)) {
+			t.Fatalf("mmap address %#x outside bound [%#x, %#x]", addr, b.Lo, b.Hi)
 		}
 		// The bound must be the mmap block, not the whole arena: the
 		// 20000*8 = 160000-byte block occupies at most 40 pages.
@@ -90,12 +90,11 @@ func TestMmapGuardPageBitsPredicted(t *testing.T) {
 	// escapes the block (bit 21 = 2 MiB jump, beyond the 160 KB block).
 	layout := mem.DefaultLayout()
 	checked := false
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Instr.Op != ir.OpGEP || e.Result < layout.MmapBase {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op != ir.OpGEP || tr.Result(i) < layout.MmapBase {
 			continue
 		}
-		mask := prop.DefMask(int64(i))
+		mask := prop.DefMask(i)
 		if mask == 0 {
 			continue
 		}
@@ -103,7 +102,7 @@ func TestMmapGuardPageBitsPredicted(t *testing.T) {
 			t.Fatalf("2MiB-jump bit of mmap gep at event %d not predicted (mask=%#x)", i, mask)
 		}
 		// Verify by injection (deterministic layout).
-		rec := fi.RunOne(m, res, fi.Target{Event: int64(i), Bit: 21},
+		rec := fi.RunOne(m, res, fi.Target{Event: i, Bit: 21},
 			fi.Config{Seed: 1}, nil)
 		if rec.Outcome != fi.OutcomeCrash {
 			t.Fatalf("predicted mmap escape did not crash: %v", rec.Outcome)

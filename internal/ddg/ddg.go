@@ -35,14 +35,13 @@ func (g *Graph) NumEvents() int64 { return g.tr.NumEvents() }
 // events of each operand, and — for loads — the store that produced the
 // loaded value.
 func (g *Graph) AppendPreds(dst []int64, ev int64) []int64 {
-	e := &g.tr.Events[ev]
-	for _, d := range e.OpDefs {
+	for _, d := range g.tr.OpDefs(ev) {
 		if d != trace.NoDef {
 			dst = append(dst, d)
 		}
 	}
-	if e.MemDef != trace.NoDef {
-		dst = append(dst, e.MemDef)
+	if d := g.tr.MemDef(ev); d != trace.NoDef {
+		dst = append(dst, d)
 	}
 	return dst
 }
@@ -68,9 +67,9 @@ func (g *Graph) OutputDefs() []int64 {
 // ACE even when they do not feed the output dataflow.
 func (g *Graph) BranchRoots() []int64 {
 	var roots []int64
-	for i := range g.tr.Events {
-		if g.tr.Events[i].Instr.Op == ir.OpCondBr {
-			roots = append(roots, int64(i))
+	for i := int64(0); i < g.tr.NumEvents(); i++ {
+		if g.tr.Instr(i).Op == ir.OpCondBr {
+			roots = append(roots, i)
 		}
 	}
 	return roots
@@ -188,18 +187,18 @@ type Stats struct {
 func (g *Graph) ComputeStats() Stats {
 	var s Stats
 	s.Events = g.tr.NumEvents()
-	for i := range g.tr.Events {
-		e := &g.tr.Events[i]
-		if !e.Instr.Type().IsVoid() {
+	for i := int64(0); i < s.Events; i++ {
+		in := g.tr.Instr(i)
+		if !in.Type().IsVoid() {
 			s.RegisterDefs++
 		}
-		switch e.Instr.Op {
+		switch in.Op {
 		case ir.OpStore:
 			s.MemNodes++
 			s.MemAccesses++
 		case ir.OpLoad:
 			s.MemAccesses++
-			if e.MemDef == trace.NoDef {
+			if g.tr.MemDef(i) == trace.NoDef {
 				s.MemNodes++ // initial-memory version
 			}
 		}

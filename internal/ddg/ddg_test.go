@@ -47,9 +47,9 @@ func TestACEMaskExcludesDeadData(t *testing.T) {
 	mask := g.ACEMaskOutputsOnly()
 	deadMuls := 0
 	liveMuls := 0
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		switch e.Instr.Op {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		in := tr.Instr(i)
+		switch in.Op {
 		case ir.OpMul:
 			if mask[i] {
 				liveMuls++
@@ -57,7 +57,7 @@ func TestACEMaskExcludesDeadData(t *testing.T) {
 		case ir.OpAdd:
 			// dead = dead + 3 adds; loop increment i+1 also an add. The
 			// dead adds must not be ACE under output-only rooting.
-			if e.Instr.Type().Equal(ir.I32) && !mask[i] {
+			if in.Type().Equal(ir.I32) && !mask[i] {
 				deadMuls++
 			}
 		}
@@ -85,7 +85,7 @@ func TestACEMaskClosedUnderPreds(t *testing.T) {
 	g := New(tr)
 	mask := g.ACEMask()
 	var preds []int64
-	for i := range tr.Events {
+	for i := int64(0); i < tr.NumEvents(); i++ {
 		if !mask[i] {
 			continue
 		}
@@ -102,7 +102,7 @@ func TestPredsPointBackward(t *testing.T) {
 	tr := record(t, deadCodeSrc)
 	g := New(tr)
 	var preds []int64
-	for i := range tr.Events {
+	for i := int64(0); i < tr.NumEvents(); i++ {
 		preds = g.AppendPreds(preds[:0], int64(i))
 		for _, p := range preds {
 			if p >= int64(i) {
@@ -122,8 +122,8 @@ func TestOutputDefsRootTheGraph(t *testing.T) {
 	mask := g.ACEMaskFromRoots(roots)
 	// The multiply feeding the output must be in the graph.
 	found := false
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op == ir.OpMul && mask[i] {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op == ir.OpMul && mask[i] {
 			found = true
 		}
 	}
@@ -136,8 +136,8 @@ func TestBranchRootsFindAllCondBrs(t *testing.T) {
 	tr := record(t, deadCodeSrc)
 	g := New(tr)
 	want := 0
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op == ir.OpCondBr {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op == ir.OpCondBr {
 			want++
 		}
 	}
@@ -233,9 +233,8 @@ void main() {
 	g := New(tr)
 	mask := g.ACEMaskOutputsOnly()
 	gepACE := false
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Instr.Op == ir.OpGEP && mask[i] {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op == ir.OpGEP && mask[i] {
 			gepACE = true
 		}
 	}

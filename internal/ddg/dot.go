@@ -35,10 +35,9 @@ func (g *Graph) Dot(opts DotOptions) string {
 	var sb strings.Builder
 	sb.WriteString("digraph ddg {\n  rankdir=BT;\n  node [shape=box, fontname=\"monospace\"];\n")
 	for i := int64(0); i < limit; i++ {
-		e := &g.tr.Events[i]
-		label := fmt.Sprintf("%d: %s", i, e.Instr.Op)
-		if e.IsMemAccess() {
-			label += fmt.Sprintf("\\n@%#x", e.Addr)
+		label := fmt.Sprintf("%d: %s", i, g.tr.Instr(i).Op)
+		if g.tr.IsMemAccess(i) {
+			label += fmt.Sprintf("\\n@%#x", g.tr.Mem(i).Addr)
 		}
 		attrs := ""
 		if opts.ACEMask != nil && int(i) < len(opts.ACEMask) && opts.ACEMask[i] {
@@ -48,13 +47,13 @@ func (g *Graph) Dot(opts DotOptions) string {
 			attrs = ", style=filled, fillcolor=lightcoral"
 		}
 		fmt.Fprintf(&sb, "  n%d [label=\"%s\"%s];\n", i, label, attrs)
-		for _, d := range e.OpDefs {
+		for _, d := range g.tr.OpDefs(i) {
 			if d != trace.NoDef && d < limit {
 				fmt.Fprintf(&sb, "  n%d -> n%d;\n", i, d)
 			}
 		}
-		if e.MemDef != trace.NoDef && e.MemDef < limit {
-			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed];\n", i, e.MemDef)
+		if d := g.tr.MemDef(i); d != trace.NoDef && d < limit {
+			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed];\n", i, d)
 		}
 	}
 	sb.WriteString("}\n")

@@ -140,9 +140,7 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) *Analysis {
 func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("epvf_profile")
-	icfg := cfg.Interp
-	icfg.Record = true
-	res, err := runProfile(m, icfg, cfg.Engine)
+	res, err := RunProfile(m, cfg.Interp, cfg.Engine)
 	if err != nil {
 		sp.End()
 		return nil, nil, err
@@ -155,10 +153,12 @@ func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) 
 	return a, res, nil
 }
 
-// runProfile executes the recorded profiling run on the selected engine.
-// Modules the VM cannot compile profile on the walker instead (counted in
-// epvf_vm_fallbacks_total); an unknown engine name is an error.
-func runProfile(m *ir.Module, icfg interp.Config, engine string) (*interp.Result, error) {
+// RunProfile executes the profiling run — icfg with Record forced on —
+// on the selected engine, "" meaning the VM. Modules the VM cannot compile
+// profile on the walker instead (counted in epvf_vm_fallbacks_total); an
+// unknown engine name is an error.
+func RunProfile(m *ir.Module, icfg interp.Config, engine string) (*interp.Result, error) {
+	icfg.Record = true
 	switch engine {
 	case "", "vm":
 		prog, err := vm.Compile(m, vm.Options{})
@@ -190,12 +190,12 @@ func Compose(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cr *rangeprop.Result
 // widths of every register defined in the trace, and of those defined by
 // ACE-graph events.
 func defBits(tr *trace.Trace, aceMask []bool) (total, ace int64) {
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if !trace.IsDef(e.Instr) {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		in := tr.Instr(i)
+		if !trace.IsDef(in) {
 			continue
 		}
-		w := int64(trace.DefWidth(e.Instr))
+		w := int64(trace.DefWidth(in))
 		total += w
 		if aceMask[i] {
 			ace += w
@@ -231,16 +231,16 @@ type DefClass struct {
 // compares against fault-injection outcomes.
 func (a *Analysis) DefClasses() []DefClass {
 	tr := a.Trace
-	out := make([]DefClass, 0, len(tr.Events))
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if !trace.IsDef(e.Instr) {
+	out := make([]DefClass, 0, tr.NumEvents())
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		in := tr.Instr(i)
+		if !trace.IsDef(in) {
 			continue
 		}
 		out = append(out, DefClass{
-			Event:   int64(i),
-			InstrID: e.Instr.ID,
-			Width:   trace.DefWidth(e.Instr),
+			Event:   i,
+			InstrID: in.ID,
+			Width:   trace.DefWidth(in),
 			ACE:     a.ACEMask[i],
 		})
 	}
@@ -291,28 +291,28 @@ func (v *InstrVuln) EPVF() float64 {
 func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
 	out := make(map[*ir.Instr]*InstrVuln)
 	tr := a.Trace
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		v := out[e.Instr]
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		in := tr.Instr(i)
+		v := out[in]
 		if v == nil {
-			v = &InstrVuln{Instr: e.Instr}
-			out[e.Instr] = v
+			v = &InstrVuln{Instr: in}
+			out[in] = v
 		}
 		v.Dynamic++
-		if trace.IsDef(e.Instr) {
-			w := int64(trace.DefWidth(e.Instr))
+		if trace.IsDef(in) {
+			w := int64(trace.DefWidth(in))
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
 			}
 			continue
 		}
-		n := trace.NumOperands(e.Instr)
+		n := trace.NumOperands(in)
 		for op := 0; op < n; op++ {
-			if !trace.InjectableOperand(e.Instr, op) {
+			if !trace.InjectableOperand(in, op) {
 				continue
 			}
-			w := int64(trace.OperandWidth(e.Instr, op))
+			w := int64(trace.OperandWidth(in, op))
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
@@ -322,12 +322,12 @@ func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
 	// Crash bits: the def's mask for value-defining instructions, the
 	// register reads' masks for void ones — ACE events only, as above.
 	a.CrashResult.Defs(func(ev int64, mask uint64) {
-		if in := tr.Events[ev].Instr; a.ACEMask[ev] && trace.IsDef(in) {
+		if in := tr.Instr(ev); a.ACEMask[ev] && trace.IsDef(in) {
 			out[in].CrashBits += int64(crash.PopCount(mask))
 		}
 	})
 	a.CrashResult.Uses(func(u trace.Use, mask uint64) {
-		in := tr.Events[u.Event].Instr
+		in := tr.Instr(u.Event)
 		if a.ACEMask[u.Event] && !trace.IsDef(in) && trace.InjectableOperand(in, u.Op) {
 			out[in].CrashBits += int64(crash.PopCount(mask))
 		}

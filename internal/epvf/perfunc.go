@@ -42,9 +42,9 @@ func (v *FuncVuln) EPVF() float64 {
 func (a *Analysis) PerFunction() []*FuncVuln {
 	byFunc := make(map[*ir.Function]*FuncVuln)
 	tr := a.Trace
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		fn := e.Instr.Func()
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		in := tr.Instr(i)
+		fn := in.Func()
 		if fn == nil {
 			continue
 		}
@@ -54,17 +54,17 @@ func (a *Analysis) PerFunction() []*FuncVuln {
 			byFunc[fn] = v
 		}
 		v.Dynamic++
-		if !trace.IsDef(e.Instr) {
+		if !trace.IsDef(in) {
 			continue
 		}
-		w := int64(trace.DefWidth(e.Instr))
+		w := int64(trace.DefWidth(in))
 		v.TotalBits += w
 		if a.ACEMask[i] {
 			v.ACEBits += w
 		}
 	}
 	a.CrashResult.Defs(func(ev int64, mask uint64) {
-		in := tr.Events[ev].Instr
+		in := tr.Instr(ev)
 		if fn := in.Func(); fn != nil && a.ACEMask[ev] && trace.IsDef(in) {
 			byFunc[fn].CrashBits += int64(crash.PopCount(mask))
 		}

@@ -100,13 +100,12 @@ func ExtYBranch(s *Suite) (*ExtYBranchResult, error) {
 		rng := rand.New(rand.NewSource(s.Cfg.Seed + 22))
 		// Collect comparison defs that feed condbr events.
 		var targets []int64
-		for i := range tr.Events {
-			e := &tr.Events[i]
-			if e.Instr.Op != ir.OpCondBr || len(e.OpDefs) == 0 {
+		for i := int64(0); i < tr.NumEvents(); i++ {
+			if tr.Instr(i).Op != ir.OpCondBr {
 				continue
 			}
-			if d := e.OpDefs[0]; d != trace.NoDef {
-				targets = append(targets, d)
+			if d := tr.OpDefs(i); len(d) > 0 && d[0] != trace.NoDef {
+				targets = append(targets, d[0])
 			}
 		}
 		if len(targets) == 0 {
@@ -186,12 +185,11 @@ func ExtLuckyLoads(s *Suite) (*ExtLuckyLoadsResult, error) {
 			bit int
 		}
 		var targets []tgt
-		for i := range tr.Events {
-			e := &tr.Events[i]
-			if e.Instr.Op != ir.OpGEP {
+		for i := int64(0); i < tr.NumEvents(); i++ {
+			if tr.Instr(i).Op != ir.OpGEP {
 				continue
 			}
-			mask := r.Analysis.CrashResult.DefMask(int64(i))
+			mask := r.Analysis.CrashResult.DefMask(i)
 			if mask == 0 {
 				continue
 			}

@@ -54,12 +54,12 @@ func TestSamplerUniformOverBits(t *testing.T) {
 		if !ok {
 			t.Fatal("sample failed")
 		}
-		ev := g.Trace.Events[tgt.Event]
-		if ev.Instr.Type().IsVoid() {
-			t.Fatalf("sampled a void instruction %s", ev.Instr.Op)
+		in := g.Trace.Instr(tgt.Event)
+		if in.Type().IsVoid() {
+			t.Fatalf("sampled a void instruction %s", in.Op)
 		}
-		if tgt.Bit < 0 || tgt.Bit >= ev.Instr.Type().BitWidth() {
-			t.Fatalf("sampled bit %d outside width %d", tgt.Bit, ev.Instr.Type().BitWidth())
+		if tgt.Bit < 0 || tgt.Bit >= in.Type().BitWidth() {
+			t.Fatalf("sampled bit %d outside width %d", tgt.Bit, in.Type().BitWidth())
 		}
 	}
 }
@@ -70,8 +70,8 @@ func TestSamplerWidthWeighting(t *testing.T) {
 	s := NewSampler(g.Trace)
 	rng := rand.New(rand.NewSource(2))
 	w64, w32, n64, n32 := 0, 0, 0, 0
-	for i := range g.Trace.Events {
-		in := g.Trace.Events[i].Instr
+	for i := int64(0); i < g.Trace.NumEvents(); i++ {
+		in := g.Trace.Instr(i)
 		switch in.Type().BitWidth() {
 		case 64:
 			n64++
@@ -81,7 +81,7 @@ func TestSamplerWidthWeighting(t *testing.T) {
 	}
 	for i := 0; i < 4000; i++ {
 		tgt, _ := s.Sample(rng)
-		switch g.Trace.Events[tgt.Event].Instr.Type().BitWidth() {
+		switch g.Trace.Instr(tgt.Event).Type().BitWidth() {
 		case 64:
 			w64++
 		case 32:

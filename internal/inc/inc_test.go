@@ -331,7 +331,7 @@ func TestCorruptProfileOpRecomputes(t *testing.T) {
 	pr.Entries[0].Mask = ^uint64(0)
 	last := &pr.Entries[len(pr.Entries)-1]
 	ev := p.byName[pr.Names[last.NameIdx]].events[last.Ordinal]
-	last.Op = trace.NumOperands(tr.Events[ev].Instr)
+	last.Op = trace.NumOperands(tr.Instr(ev))
 	if err := store.Put(KindSection, pk, pr.encode()); err != nil {
 		t.Fatal(err)
 	}

@@ -60,12 +60,12 @@ type partition struct {
 func sectionize(tr *trace.Trace, aceMask []bool) *partition {
 	p := &partition{
 		byName:  make(map[string]*section),
-		owner:   make([]int32, len(tr.Events)),
-		ordinal: make([]int32, len(tr.Events)),
+		owner:   make([]int32, tr.NumEvents()),
+		ordinal: make([]int32, tr.NumEvents()),
 	}
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		fn := e.Instr.Func()
+	for i := range p.owner {
+		ev := int64(i)
+		fn := tr.Instr(ev).Func()
 		name := detachedName
 		if fn != nil {
 			name = fn.Name
@@ -78,9 +78,9 @@ func sectionize(tr *trace.Trace, aceMask []bool) *partition {
 		}
 		p.owner[i] = int32(s.index)
 		p.ordinal[i] = int32(len(s.events))
-		s.events = append(s.events, int64(i))
-		if aceMask[i] && e.IsMemAccess() {
-			s.seeds = append(s.seeds, int64(i))
+		s.events = append(s.events, ev)
+		if aceMask[i] && tr.IsMemAccess(ev) {
+			s.seeds = append(s.seeds, ev)
 		}
 	}
 	return p
@@ -120,21 +120,22 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 		}
 		h.Printf("func %s %s\n", s.name, static)
 		for _, ev := range s.events {
-			e := &tr.Events[ev]
+			in := tr.Instr(ev)
 			buf = buf[:0]
 			buf = append(buf, 'e', ' ')
-			buf = strconv.AppendInt(buf, int64(e.Instr.LocalID), 10)
-			for i, v := range e.Ops {
+			buf = strconv.AppendInt(buf, int64(in.LocalID), 10)
+			defs := tr.OpDefs(ev)
+			for i, v := range tr.Ops(ev) {
 				buf = append(buf, ' ')
 				buf = strconv.AppendUint(buf, v, 10)
 				buf = append(buf, ':')
-				buf = p.appendRef(buf, e.OpDefs[i])
+				buf = p.appendRef(buf, defs[i])
 			}
-			if e.Instr.Op == ir.OpLoad {
+			if in.Op == ir.OpLoad {
 				buf = append(buf, " m:"...)
-				buf = p.appendRef(buf, e.MemDef)
+				buf = p.appendRef(buf, tr.MemDef(ev))
 			}
-			if aceMask[ev] && e.IsMemAccess() {
+			if aceMask[ev] && tr.IsMemAccess(ev) {
 				bound, ok := model.Boundary(tr, ev)
 				buf = append(buf, " b:"...)
 				if ok {
@@ -144,10 +145,10 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 					buf = strconv.AppendInt(buf, bound.Hi, 10)
 					if cfg.ExactAddress {
 						ptrOp := 0
-						if e.Instr.Op == ir.OpStore {
+						if in.Op == ir.OpStore {
 							ptrOp = 1
 						}
-						mask := model.MaskExact(tr, ev, e.Ops[ptrOp], trace.OperandWidth(e.Instr, ptrOp))
+						mask := model.MaskExact(tr, ev, tr.Ops(ev)[ptrOp], trace.OperandWidth(in, ptrOp))
 						buf = append(buf, " x:"...)
 						buf = strconv.AppendUint(buf, mask, 10)
 					}

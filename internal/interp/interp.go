@@ -211,8 +211,7 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 	}
 	vm := &machine{cfg: cfg, mod: m, as: mem.New(cfg.Layout), entryFn: fn}
 	if cfg.Record {
-		vm.memDef = make(map[uint64]int64)
-		vm.events = make([]trace.Event, 0, 1<<16)
+		vm.rec = trace.NewRecorder(m)
 	}
 	if err := vm.loadGlobals(); err != nil {
 		return nil, fmt.Errorf("interp: loading globals: %w", err)
@@ -230,14 +229,8 @@ func (vm *machine) finish() (*Result, error) {
 		Executed:  vm.executed,
 		Converged: vm.converged,
 	}
-	if vm.cfg.Record {
-		res.Trace = &trace.Trace{
-			Module:    vm.mod,
-			Events:    vm.events,
-			Outputs:   vm.outputs,
-			Snapshots: vm.as.Snapshots(),
-			Layout:    vm.cfg.Layout,
-		}
+	if vm.rec != nil {
+		res.Trace = vm.rec.Finish(vm.outputs, vm.as.Snapshots(), vm.cfg.Layout)
 	}
 	vm.flushObs()
 	return res, vm.fatal
@@ -287,9 +280,16 @@ type machine struct {
 	executed int64
 	loads    int64
 	stores   int64
-	events   []trace.Event
+	rec      *trace.Recorder // nil unless recording
 	outputs  []trace.Output
-	memDef   map[uint64]int64
+
+	// free holds popped frames for reuse, and ops/opDefs and phis are
+	// per-step scratch, so a run allocates only while it first reaches
+	// its deepest call chain, widest call and largest phi group.
+	free   []*frame
+	ops    []uint64
+	opDefs []int64
+	phis   []phiVal
 
 	exc       *Exception
 	hang      bool
@@ -389,21 +389,37 @@ func (vm *machine) pushFrame(fn *ir.Function, args []uint64, argDefs []int64) {
 		vm.raise(ExcSegFault, fn.Entry().Instrs[0], vm.as.SP()-fl.size, "stack overflow")
 		return
 	}
-	fr := &frame{
+	var fr *frame
+	if n := len(vm.free); n > 0 {
+		fr = vm.free[n-1]
+		vm.free = vm.free[:n-1]
+	} else {
+		fr = new(frame)
+	}
+	*fr = frame{
 		fn:        fn,
-		regs:      make([]uint64, fn.NumLocals()),
-		defs:      make([]int64, fn.NumLocals()),
-		params:    args,
-		paramDefs: argDefs,
+		regs:      resize(fr.regs, fn.NumLocals()),
+		defs:      resize(fr.defs, fn.NumLocals()),
+		params:    append(fr.params[:0], args...),
+		paramDefs: append(fr.paramDefs[:0], argDefs...),
 		base:      base,
 		savedSP:   savedSP,
 		layout:    fl,
 		blk:       fn.Entry(),
 	}
+	clear(fr.regs)
 	for i := range fr.defs {
 		fr.defs[i] = trace.NoDef
 	}
 	vm.stack = append(vm.stack, fr)
+}
+
+// resize returns s with length n, reusing its array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // popFrame returns from the top frame, restoring the stack pointer and
@@ -415,6 +431,7 @@ func (vm *machine) popFrame(retVal uint64, retDef int64) {
 	child := vm.stack[len(vm.stack)-1]
 	vm.stack = vm.stack[:len(vm.stack)-1]
 	vm.as.PopFrame(child.savedSP)
+	vm.free = append(vm.free, child)
 	if len(vm.stack) == 0 {
 		return // entry function returned; the machine halts
 	}
@@ -431,8 +448,8 @@ func (vm *machine) popFrame(retVal uint64, retDef int64) {
 		retDef = fr.callIdx
 	}
 	vm.setResultWithDef(fr, in, fr.callIdx, retDef, retVal)
-	if ev := vm.event(fr.callIdx); ev != nil {
-		ev.Result = fr.regs[in.LocalID]
+	if vm.rec != nil {
+		vm.rec.SetResult(fr.callIdx, fr.regs[in.LocalID])
 	}
 	fr.callIdx = 0
 }
@@ -484,22 +501,18 @@ func (vm *machine) retire(in *ir.Instr, ops []uint64, opDefs []int64) int64 {
 	if vm.dyn > vm.cfg.MaxDynInstrs {
 		vm.hang = true
 	}
-	if vm.cfg.Record {
-		vm.events = append(vm.events, trace.Event{
-			Instr:  in,
-			Ops:    ops,
-			OpDefs: opDefs,
-			MemDef: trace.NoDef,
-		})
+	if vm.rec != nil {
+		o, d := vm.rec.Event(in)
+		copy(o, ops)
+		copy(d, opDefs)
 	}
 	return idx
 }
 
-func (vm *machine) event(idx int64) *trace.Event {
-	if !vm.cfg.Record {
-		return nil
-	}
-	return &vm.events[idx]
+// scratch returns the step's operand buffers with length n.
+func (vm *machine) scratch(n int) ([]uint64, []int64) {
+	vm.ops, vm.opDefs = resize(vm.ops, n), resize(vm.opDefs, n)
+	return vm.ops, vm.opDefs
 }
 
 // inject applies a pending fault to the register being defined at event
@@ -535,8 +548,8 @@ func (vm *machine) setResult(fr *frame, in *ir.Instr, idx int64, bits uint64) {
 	bits = vm.inject(idx, in, bits)
 	fr.regs[in.LocalID] = bits
 	fr.defs[in.LocalID] = idx
-	if ev := vm.event(idx); ev != nil {
-		ev.Result = bits
+	if vm.rec != nil {
+		vm.rec.SetResult(idx, bits)
 	}
 }
 
@@ -552,19 +565,15 @@ func (vm *machine) stepPhis(fr *frame) {
 		}
 		nPhis++
 	}
-	type phiVal struct {
-		bits uint64
-		idx  int64
-	}
-	vals := make([]phiVal, nPhis)
+	vm.phis = resize(vm.phis, nPhis)
+	vals := vm.phis
 	for i := 0; i < nPhis; i++ {
 		in := blk.Instrs[i]
 		found := false
 		for ei, from := range in.PhiIn {
 			if from == fr.prev {
-				bits, def := vm.operand(fr, in.Args[ei])
-				ops := []uint64{bits}
-				defs := []int64{def}
+				ops, defs := vm.scratch(1)
+				ops[0], defs[0] = vm.operand(fr, in.Args[ei])
 				idx := vm.retire(in, ops, defs)
 				vals[i] = phiVal{bits: ops[0], idx: idx}
 				found = true
@@ -603,8 +612,7 @@ func (vm *machine) step() {
 		return
 	}
 
-	ops := make([]uint64, len(in.Args))
-	defs := make([]int64, len(in.Args))
+	ops, defs := vm.scratch(len(in.Args))
 	for ai, a := range in.Args {
 		ops[ai], defs[ai] = vm.operand(fr, a)
 	}
@@ -695,6 +703,13 @@ func (vm *machine) step() {
 	}
 }
 
+// phiVal is one phi's incoming value and event, held until the whole
+// group commits.
+type phiVal struct {
+	bits uint64
+	idx  int64
+}
+
 // setResultWithDef is setResult with an explicit defining event (used for
 // call results, which are defined by the callee's return-value producer).
 // idx is the executing event (the injection target identity); def is the
@@ -747,10 +762,8 @@ func (vm *machine) alignOK(in *ir.Instr, addr uint64) bool {
 func (vm *machine) load(in *ir.Instr, idx int64, addr uint64) (uint64, bool) {
 	vm.loads++
 	size := in.Elem.Size()
-	if ev := vm.event(idx); ev != nil {
-		ev.Addr = addr
-		ev.VMAVer = vm.as.Version()
-		ev.SP = vm.as.SP()
+	if vm.rec != nil {
+		vm.rec.Access(idx, addr, vm.as.Version(), vm.as.SP())
 	}
 	if !vm.alignOK(in, addr) {
 		vm.raise(ExcMisaligned, in, addr, "misaligned load")
@@ -764,10 +777,8 @@ func (vm *machine) load(in *ir.Instr, idx int64, addr uint64) (uint64, bool) {
 	if in.Ty.IsInt() {
 		v = ir.TruncateToWidth(v, in.Ty.Bits)
 	}
-	if vm.cfg.Record {
-		if d, ok := vm.memDef[addr]; ok {
-			vm.events[idx].MemDef = d
-		}
+	if vm.rec != nil {
+		vm.rec.Loaded(idx, addr)
 	}
 	return v, true
 }
@@ -775,10 +786,8 @@ func (vm *machine) load(in *ir.Instr, idx int64, addr uint64) (uint64, bool) {
 func (vm *machine) store(in *ir.Instr, idx int64, val, addr uint64) bool {
 	vm.stores++
 	size := in.Elem.Size()
-	if ev := vm.event(idx); ev != nil {
-		ev.Addr = addr
-		ev.VMAVer = vm.as.Version()
-		ev.SP = vm.as.SP()
+	if vm.rec != nil {
+		vm.rec.Access(idx, addr, vm.as.Version(), vm.as.SP())
 	}
 	if !vm.alignOK(in, addr) {
 		vm.raise(ExcMisaligned, in, addr, "misaligned store")
@@ -789,10 +798,8 @@ func (vm *machine) store(in *ir.Instr, idx int64, val, addr uint64) bool {
 		return false
 	}
 	vm.as.WriteUint(addr, size, val)
-	if vm.cfg.Record {
-		for i := int64(0); i < size; i++ {
-			vm.memDef[addr+uint64(i)] = idx
-		}
+	if vm.rec != nil {
+		vm.rec.Stored(idx, addr, size)
 	}
 	return true
 }

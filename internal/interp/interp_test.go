@@ -455,9 +455,9 @@ func TestTraceRecording(t *testing.T) {
 	// Every load must carry an address and VMA snapshot; loads of stored
 	// locations must link to the store.
 	loads, linked := 0, 0
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		if ev.Instr.Op == ir.OpLoad {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		ev := tr.Mem(i)
+		if tr.Instr(i).Op == ir.OpLoad {
 			loads++
 			if ev.Addr == 0 {
 				t.Error("load event without address")
@@ -467,8 +467,7 @@ func TestTraceRecording(t *testing.T) {
 			}
 			if ev.MemDef != trace.NoDef {
 				linked++
-				st := &tr.Events[ev.MemDef]
-				if st.Instr.Op != ir.OpStore || st.Addr != ev.Addr {
+				if tr.Instr(ev.MemDef).Op != ir.OpStore || tr.Mem(ev.MemDef).Addr != ev.Addr {
 					t.Error("MemDef does not point at the defining store")
 				}
 			}
@@ -482,22 +481,21 @@ func TestTraceRecording(t *testing.T) {
 	if out.Def == trace.NoDef {
 		t.Fatal("output has no defining event")
 	}
-	if tr.Events[out.Def].Instr.Op != ir.OpLoad {
-		t.Errorf("output defined by %s, want load", tr.Events[out.Def].Instr.Op)
+	if tr.Instr(out.Def).Op != ir.OpLoad {
+		t.Errorf("output defined by %s, want load", tr.Instr(out.Def).Op)
 	}
 }
 
 func TestTraceOpDefsAreBackward(t *testing.T) {
 	res := run(t, buildSumLoop(5), Config{Record: true})
-	for i := range res.Trace.Events {
-		ev := &res.Trace.Events[i]
-		for _, d := range ev.OpDefs {
-			if d != trace.NoDef && d >= int64(i) {
+	for i := int64(0); i < res.Trace.NumEvents(); i++ {
+		for _, d := range res.Trace.OpDefs(i) {
+			if d != trace.NoDef && d >= i {
 				t.Fatalf("event %d has operand defined by later event %d", i, d)
 			}
 		}
-		if ev.MemDef != trace.NoDef && ev.MemDef >= int64(i) {
-			t.Fatalf("event %d has MemDef %d in the future", i, ev.MemDef)
+		if d := res.Trace.MemDef(i); d != trace.NoDef && d >= i {
+			t.Fatalf("event %d has MemDef %d in the future", i, d)
 		}
 	}
 }
@@ -508,10 +506,9 @@ func TestInjectionChangesValue(t *testing.T) {
 	m := buildSumLoop(10)
 	golden := mustRun(t, m, Config{Record: true})
 	var target int64 = -1
-	for i := range golden.Trace.Events {
-		ev := &golden.Trace.Events[i]
-		if ev.Instr.Op == ir.OpAdd && trace.IsDef(ev.Instr) {
-			target = int64(i)
+	for i := int64(0); i < golden.Trace.NumEvents(); i++ {
+		if in := golden.Trace.Instr(i); in.Op == ir.OpAdd && trace.IsDef(in) {
+			target = i
 			break
 		}
 	}
@@ -545,10 +542,9 @@ func TestInjectionIntoAddressCrashes(t *testing.T) {
 	m := buildSumLoop(10)
 	golden := mustRun(t, m, Config{Record: true})
 	var target int64 = -1
-	for i := range golden.Trace.Events {
-		ev := &golden.Trace.Events[i]
-		if ev.Instr.Op == ir.OpGEP {
-			target = int64(i)
+	for i := int64(0); i < golden.Trace.NumEvents(); i++ {
+		if golden.Trace.Instr(i).Op == ir.OpGEP {
+			target = i
 			break
 		}
 	}

@@ -471,7 +471,12 @@ func (as *AddressSpace) WriteBytes(addr uint64, b []byte) {
 // stay sparse.
 func (as *AddressSpace) ReadBytes(addr uint64, n int64) []byte {
 	out := make([]byte, n)
-	dst := out
+	as.readInto(out, addr)
+	return out
+}
+
+// readInto copies len(dst) bytes at addr into dst.
+func (as *AddressSpace) readInto(dst []byte, addr uint64) {
 	for len(dst) > 0 {
 		off := addr % PageSize
 		c := uint64(PageSize - off)
@@ -484,7 +489,6 @@ func (as *AddressSpace) ReadBytes(addr uint64, n int64) []byte {
 		dst = dst[c:]
 		addr += c
 	}
-	return out
 }
 
 // Fork returns a copy-on-write clone of the address space: VMA table,
@@ -593,10 +597,12 @@ func (as *AddressSpace) WriteUint(addr uint64, size int64, v uint64) {
 // ReadUint loads size bytes at addr little-endian into the low bits of the
 // result.
 func (as *AddressSpace) ReadUint(addr uint64, size int64) uint64 {
-	b := as.ReadBytes(addr, size)
+	var buf [8]byte // bytes past the eighth shift out of the result
+	b := buf[:min(max(size, 0), 8)]
+	as.readInto(b, addr)
 	var v uint64
-	for i := int64(0); i < size; i++ {
-		v |= uint64(b[i]) << (8 * uint(i))
+	for i, x := range b {
+		v |= uint64(x) << (8 * uint(i))
 	}
 	return v
 }

@@ -150,10 +150,10 @@ func (r *Result) OrUse(u trace.Use, mask uint64) error {
 	if r.dense == nil {
 		return fmt.Errorf("rangeprop: OrUse(%v) on a compacted result", u)
 	}
-	if u.Event < 0 || u.Event >= int64(len(r.tr.Events)) {
-		return fmt.Errorf("rangeprop: use %v outside the %d-event trace", u, len(r.tr.Events))
+	if u.Event < 0 || u.Event >= r.tr.NumEvents() {
+		return fmt.Errorf("rangeprop: use %v outside the %d-event trace", u, r.tr.NumEvents())
 	}
-	if n := trace.NumOperands(r.tr.Events[u.Event].Instr); u.Op < 0 || u.Op >= n || u.Op >= useSlots {
+	if n := trace.NumOperands(r.tr.Instr(u.Event)); u.Op < 0 || u.Op >= n || u.Op >= useSlots {
 		return fmt.Errorf("rangeprop: use %v names operand %d of a %d-operand instruction", u, u.Op, n)
 	}
 	r.dense.or(u.Event*useSlots+int64(u.Op), mask)
@@ -189,11 +189,11 @@ func (r *Result) Finalize(tr *trace.Trace) {
 		r.uses = r.dense.compact()
 		r.dense = nil
 	}
-	defs := newDenseMasks(len(tr.Events))
+	defs := newDenseMasks(tr.NumEvents())
 	for _, u := range r.uses {
 		r.UseCrashBitCount += int64(crash.PopCount(u.mask))
 		ev, op := u.key/useSlots, int(u.key%useSlots)
-		if d := tr.Events[ev].OpDefs; op < len(d) && d[op] != trace.NoDef {
+		if d := tr.OpDefs(ev); op < len(d) && d[op] != trace.NoDef {
 			defs.or(d[op], u.mask)
 		}
 	}
@@ -216,7 +216,7 @@ type denseMasks struct {
 	n int
 }
 
-func newDenseMasks(size int) *denseMasks {
+func newDenseMasks(size int64) *denseMasks {
 	blocks := (size + 63) / 64
 	return &denseMasks{m: make([]uint64, size), dirty: make([]uint64, (blocks+63)/64)}
 }
@@ -274,9 +274,9 @@ func (d *denseMasks) reset() {
 // seeds of ITERATE_OVER_ACE_GRAPH — in event order.
 func Seeds(tr *trace.Trace, aceMask []bool) []int64 {
 	var accesses []int64
-	for i := range tr.Events {
-		if aceMask[i] && tr.Events[i].IsMemAccess() {
-			accesses = append(accesses, int64(i))
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if aceMask[i] && tr.IsMemAccess(i) {
+			accesses = append(accesses, i)
 		}
 	}
 	return accesses
@@ -364,7 +364,7 @@ func (w *Walker) AnalyzeSeeds(seeds []int64, touch func(ev int64)) *Result {
 // one; a later walk allocates fresh scratch.
 func (w *Walker) Result() *Result {
 	if w.uses == nil {
-		w.uses = newDenseMasks(len(w.tr.Events) * useSlots)
+		w.uses = newDenseMasks(w.tr.NumEvents() * useSlots)
 	}
 	res := &Result{tr: w.tr, dense: w.uses}
 	w.uses = nil
@@ -375,8 +375,8 @@ func (w *Walker) Result() *Result {
 // returns the number of seeds whose boundary resolved.
 func (w *Walker) walk(seeds []int64, touch func(ev int64)) (accesses int64) {
 	if w.uses == nil {
-		w.visited = make([]uint32, len(w.tr.Events))
-		w.uses = newDenseMasks(len(w.tr.Events) * useSlots)
+		w.visited = make([]uint32, w.tr.NumEvents())
+		w.uses = newDenseMasks(w.tr.NumEvents() * useSlots)
 		w.work = make([]item, 0, 64)
 	}
 	for _, ev := range seeds {
@@ -391,7 +391,7 @@ func (w *Walker) walk(seeds []int64, touch func(ev int64)) (accesses int64) {
 		}
 		accesses++
 		ptrOp := 0
-		if w.tr.Events[ev].Instr.Op == ir.OpStore {
+		if w.tr.Instr(ev).Op == ir.OpStore {
 			ptrOp = 1
 		}
 		w.crashCalc(ev, ptrOp, bound, touch)
@@ -429,10 +429,10 @@ func (w *Walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound, touch f
 		if touch != nil {
 			touch(it.ev)
 		}
-		e := &tr.Events[it.ev]
-		v := e.Ops[it.op]
-		width := trace.OperandWidth(e.Instr, it.op)
-		if trace.InjectableOperand(e.Instr, it.op) || e.Instr.Op == ir.OpPhi {
+		in := tr.Instr(it.ev)
+		v := tr.Ops(it.ev)[it.op]
+		width := trace.OperandWidth(in, it.op)
+		if trace.InjectableOperand(in, it.op) || in.Op == ir.OpPhi {
 			var mask uint64
 			if it.direct && w.cfg.ExactAddress {
 				mask = w.cfg.Model.MaskExact(tr, it.ev, v, width)
@@ -442,7 +442,7 @@ func (w *Walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound, touch f
 			w.uses.or(it.ev*useSlots+int64(it.op), mask)
 		}
 
-		def := e.OpDefs[it.op]
+		def := tr.OpDefs(it.ev)[it.op]
 		if def == trace.NoDef || w.visited[def] == w.gen {
 			continue
 		}
@@ -466,12 +466,12 @@ func (w *Walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound, touch f
 // stay within r, derive ranges for def's own operand uses — at most two,
 // returned as out[:n].
 func invert(tr *trace.Trace, def int64, r crash.Bound) (out [2]item, n int) {
-	e := &tr.Events[def]
-	in := e.Instr
+	in := tr.Instr(def)
+	ops := tr.Ops(def)
 	mk := func(op int, b crash.Bound) item { return item{ev: def, op: op, r: b} }
 
 	signedOp := func(op int) int64 {
-		return ir.SignExtend(e.Ops[op], trace.OperandWidth(in, op))
+		return ir.SignExtend(ops[op], trace.OperandWidth(in, op))
 	}
 
 	switch in.Op {
@@ -541,8 +541,8 @@ func invert(tr *trace.Trace, def int64, r crash.Bound) (out [2]item, n int) {
 		// Value identity through memory: the loaded value equals the value
 		// operand of the producing store. (The store's own address operand
 		// is seeded separately by its own boundary check.)
-		if e.MemDef != trace.NoDef {
-			return [2]item{{ev: e.MemDef, op: 0, r: r}}, 1
+		if d := tr.MemDef(def); d != trace.NoDef {
+			return [2]item{{ev: d, op: 0, r: r}}, 1
 		}
 		return out, 0
 	case ir.OpPhi:
@@ -550,7 +550,7 @@ func invert(tr *trace.Trace, def int64, r crash.Bound) (out [2]item, n int) {
 	case ir.OpSelect:
 		// The chosen arm carried the value; determine it from the recorded
 		// condition.
-		if e.Ops[0]&1 != 0 {
+		if ops[0]&1 != 0 {
 			return [2]item{mk(1, r)}, 1
 		}
 		return [2]item{mk(2, r)}, 1

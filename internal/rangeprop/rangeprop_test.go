@@ -59,8 +59,8 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 	// Every address-producing gep def must have crash bits (flipping its
 	// high bits escapes the heap segment).
 	geps, gepsWithBits := 0, 0
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op != ir.OpGEP {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op != ir.OpGEP {
 			continue
 		}
 		geps++
@@ -75,12 +75,11 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 
 func TestHighAddressBitsAreCrashBits(t *testing.T) {
 	tr, res := analyzeSrc(t, arraySumSrc, Config{})
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Instr.Op != ir.OpGEP {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op != ir.OpGEP {
 			continue
 		}
-		mask := res.DefMask(int64(i))
+		mask := res.DefMask(i)
 		// Bits 40..63 of a heap address always escape any segment.
 		for bit := 40; bit < 64; bit++ {
 			if mask&(1<<uint(bit)) == 0 {
@@ -325,12 +324,11 @@ void main() {
 }`
 	tr, res := analyzeSrc(t, src, Config{})
 	// Find the i*n+j add def (i32 add feeding a sext feeding the gep).
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if e.Instr.Op != ir.OpAdd || !e.Instr.Type().Equal(ir.I32) {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if in := tr.Instr(i); in.Op != ir.OpAdd || !in.Type().Equal(ir.I32) {
 			continue
 		}
-		mask := res.DefMask(int64(i))
+		mask := res.DefMask(i)
 		if mask == 0 {
 			continue
 		}
@@ -416,8 +414,8 @@ func TestOrUseRejectsMissingOperands(t *testing.T) {
 	tr, _ := analyzeSrc(t, arraySumSrc, Config{})
 	r := NewWalker(tr, Config{}).Result()
 	var load int64 = -1
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op == ir.OpLoad {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).Op == ir.OpLoad {
 			load = int64(i)
 			break
 		}

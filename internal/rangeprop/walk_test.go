@@ -2,6 +2,7 @@ package rangeprop
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/bench"
@@ -33,7 +34,7 @@ func oracleAnalyze(tr *trace.Trace, aceMask []bool, cfg Config) (uses map[trace.
 		}
 		accesses++
 		ptrOp := 0
-		if tr.Events[seed].Instr.Op == ir.OpStore {
+		if tr.Instr(seed).Op == ir.OpStore {
 			ptrOp = 1
 		}
 		visited := map[int64]bool{}
@@ -41,10 +42,10 @@ func oracleAnalyze(tr *trace.Trace, aceMask []bool, cfg Config) (uses map[trace.
 		for len(work) > 0 {
 			it := work[len(work)-1]
 			work = work[:len(work)-1]
-			e := &tr.Events[it.ev]
-			v := e.Ops[it.op]
-			width := trace.OperandWidth(e.Instr, it.op)
-			if trace.InjectableOperand(e.Instr, it.op) || e.Instr.Op == ir.OpPhi {
+			in := tr.Instr(it.ev)
+			v := tr.Ops(it.ev)[it.op]
+			width := trace.OperandWidth(in, it.op)
+			if trace.InjectableOperand(in, it.op) || in.Op == ir.OpPhi {
 				var mask uint64
 				if it.direct && cfg.ExactAddress {
 					mask = cfg.Model.MaskExact(tr, it.ev, v, width)
@@ -55,7 +56,7 @@ func oracleAnalyze(tr *trace.Trace, aceMask []bool, cfg Config) (uses map[trace.
 					uses[trace.Use{Event: it.ev, Op: it.op}] |= mask
 				}
 			}
-			def := e.OpDefs[it.op]
+			def := tr.OpDefs(it.ev)[it.op]
 			if def == trace.NoDef || visited[def] || (maxDepth > 0 && it.depth >= maxDepth) {
 				continue
 			}
@@ -68,7 +69,7 @@ func oracleAnalyze(tr *trace.Trace, aceMask []bool, cfg Config) (uses map[trace.
 		}
 	}
 	for u, m := range uses {
-		if d := tr.Events[u.Event].OpDefs; u.Op < len(d) && d[u.Op] != trace.NoDef {
+		if d := tr.OpDefs(u.Event); u.Op < len(d) && d[u.Op] != trace.NoDef {
 			defs[d[u.Op]] |= m
 		}
 	}
@@ -149,6 +150,9 @@ func TestAnalyzeSeedsAllocsIndependentOfSeeds(t *testing.T) {
 	if len(seeds) < 400 {
 		t.Fatalf("only %d seeds", len(seeds))
 	}
+	// With the collector off, the runtime's own per-GC-cycle allocations
+	// cannot land in one measurement and not the other.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(s []int64) float64 {
 		return testing.AllocsPerRun(3, func() { AnalyzeSeeds(tr, Config{}, s, nil) })
 	}

@@ -293,9 +293,7 @@ func (s *Server) analyze(m *ir.Module, modHash string) (*Summary, string, *Secti
 		// full run that overwrites it.
 	}
 	if s.incremental {
-		icfg := epvf.Config{}
-		icfg.Interp.Record = true
-		res, err := interp.Run(m, icfg.Interp)
+		res, err := epvf.RunProfile(m, interp.Config{}, "")
 		if err != nil {
 			return nil, "", nil, err
 		}

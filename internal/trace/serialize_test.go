@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/epvf"
@@ -53,10 +54,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.NumEvents() != tr.NumEvents() || len(back.Outputs) != len(tr.Outputs) {
 		t.Fatal("shape lost in round trip")
 	}
-	for i := range tr.Events {
-		a, b := &tr.Events[i], &back.Events[i]
-		if a.Instr.ID != b.Instr.ID || a.Result != b.Result || a.Addr != b.Addr ||
-			a.MemDef != b.MemDef || a.VMAVer != b.VMAVer || a.SP != b.SP {
+	for i := int64(0); i < tr.NumEvents(); i++ {
+		if tr.Instr(i).ID != back.Instr(i).ID || tr.Result(i) != back.Result(i) ||
+			tr.Mem(i) != back.Mem(i) || !slices.Equal(tr.Ops(i), back.Ops(i)) ||
+			!slices.Equal(tr.OpDefs(i), back.OpDefs(i)) {
 			t.Fatalf("event %d differs after round trip", i)
 		}
 	}

@@ -33,11 +33,11 @@ func diffResults(t *testing.T, name string, walker, vmr *interp.Result) {
 		return
 	}
 	wt, vt := walker.Trace, vmr.Trace
-	if len(wt.Events) != len(vt.Events) {
-		t.Fatalf("%s: event count mismatch: walker=%d vm=%d", name, len(wt.Events), len(vt.Events))
+	if wt.NumEvents() != vt.NumEvents() {
+		t.Fatalf("%s: event count mismatch: walker=%d vm=%d", name, wt.NumEvents(), vt.NumEvents())
 	}
-	for i := range wt.Events {
-		diffEvent(t, name, i, &wt.Events[i], &vt.Events[i])
+	for i := int64(0); i < wt.NumEvents(); i++ {
+		diffEvent(t, name, i, wt, vt)
 	}
 	if len(wt.Snapshots) != len(vt.Snapshots) {
 		t.Fatalf("%s: VMA snapshot count mismatch: walker=%d vm=%d", name, len(wt.Snapshots), len(vt.Snapshots))
@@ -84,29 +84,29 @@ func diffOutputs(t *testing.T, name string, w, v []trace.Output) {
 	}
 }
 
-func diffEvent(t *testing.T, name string, i int, w, v *trace.Event) {
+// diffEvent compares event i across every column of the two traces:
+// instruction, operand bits, operand defs, result and memory access.
+func diffEvent(t *testing.T, name string, i int64, w, v *trace.Trace) {
 	t.Helper()
-	if w.Instr != v.Instr {
+	in := w.Instr(i)
+	if in != v.Instr(i) {
 		t.Fatalf("%s: event %d instr mismatch: walker=%v(id %d) vm=%v(id %d)",
-			name, i, w.Instr.Op, w.Instr.ID, v.Instr.Op, v.Instr.ID)
+			name, i, in.Op, in.ID, v.Instr(i).Op, v.Instr(i).ID)
 	}
-	if len(w.Ops) != len(v.Ops) || len(w.OpDefs) != len(v.OpDefs) {
-		t.Fatalf("%s: event %d (%v) operand arity mismatch: walker=%d/%d vm=%d/%d",
-			name, i, w.Instr.Op, len(w.Ops), len(w.OpDefs), len(v.Ops), len(v.OpDefs))
-	}
-	for j := range w.Ops {
-		if w.Ops[j] != v.Ops[j] {
+	wo, vo, wd, vd := w.Ops(i), v.Ops(i), w.OpDefs(i), v.OpDefs(i)
+	for j := range wo {
+		if wo[j] != vo[j] {
 			t.Fatalf("%s: event %d (%v) op %d mismatch: walker=%#x vm=%#x",
-				name, i, w.Instr.Op, j, w.Ops[j], v.Ops[j])
+				name, i, in.Op, j, wo[j], vo[j])
 		}
-		if w.OpDefs[j] != v.OpDefs[j] {
+		if wd[j] != vd[j] {
 			t.Fatalf("%s: event %d (%v) opdef %d mismatch: walker=%d vm=%d",
-				name, i, w.Instr.Op, j, w.OpDefs[j], v.OpDefs[j])
+				name, i, in.Op, j, wd[j], vd[j])
 		}
 	}
-	if w.Result != v.Result || w.Addr != v.Addr || w.MemDef != v.MemDef ||
-		w.VMAVer != v.VMAVer || w.SP != v.SP {
-		t.Fatalf("%s: event %d (%v) payload mismatch:\nwalker=%+v\nvm=%+v", name, i, w.Instr.Op, *w, *v)
+	if w.Result(i) != v.Result(i) || w.IsMemAccess(i) != v.IsMemAccess(i) || w.Mem(i) != v.Mem(i) {
+		t.Fatalf("%s: event %d (%v) payload mismatch:\nwalker=%#x %+v\nvm=%#x %+v",
+			name, i, in.Op, w.Result(i), w.Mem(i), v.Result(i), v.Mem(i))
 	}
 }
 
@@ -311,16 +311,15 @@ func TestDifferentialInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("golden: %v", err)
 			}
-			events := golden.Trace.Events
-			for ev := range events {
-				w := trace.DefWidth(events[ev].Instr)
+			for ev := int64(0); ev < golden.Trace.NumEvents(); ev++ {
+				w := trace.DefWidth(golden.Trace.Instr(ev))
 				if w == 0 {
 					continue
 				}
 				bit := rng.Intn(w)
 				cfg := interp.Config{
 					MaxDynInstrs: 200_000,
-					Injection:    &interp.Injection{Event: int64(ev), Bit: bit},
+					Injection:    &interp.Injection{Event: ev, Bit: bit},
 				}
 				name := fmt.Sprintf("%s/ev%d/bit%d", pc.name, ev, bit)
 				walker, vmr := runBoth(t, m, cfg)

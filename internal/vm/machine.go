@@ -55,11 +55,9 @@ type machine struct {
 	stores   int64
 	iters    int64
 	max      int64
-	record   bool
 	inj      *interp.Injection
-	events   []trace.Event
+	rec      *trace.Recorder // nil unless recording
 	outputs  []trace.Output
-	memDef   map[uint64]int64
 
 	exc       *interp.Exception
 	hang      bool
@@ -80,7 +78,6 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 		fixed:   make([][]uint64, len(p.fns)),
 		pool:    make([][]*vframe, len(p.fns)),
 		max:     cfg.MaxDynInstrs,
-		record:  cfg.Record,
 		inj:     cfg.Injection,
 	}
 	maxPhi := 0
@@ -91,9 +88,8 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 	}
 	m.phiVals = make([]uint64, maxPhi)
 	m.phiIdx = make([]int64, maxPhi)
-	if m.record {
-		m.memDef = make(map[uint64]int64)
-		m.events = make([]trace.Event, 0, 1<<16)
+	if cfg.Record {
+		m.rec = trace.NewRecorder(p.mod)
 	}
 	return m
 }
@@ -126,14 +122,8 @@ func (m *machine) finish() (*interp.Result, error) {
 		Executed:  m.executed,
 		Converged: m.converged,
 	}
-	if m.record {
-		res.Trace = &trace.Trace{
-			Module:    m.prog.mod,
-			Events:    m.events,
-			Outputs:   m.outputs,
-			Snapshots: m.as.Snapshots(),
-			Layout:    m.cfg.Layout,
-		}
+	if m.rec != nil {
+		res.Trace = m.rec.Finish(m.outputs, m.as.Snapshots(), m.cfg.Layout)
 	}
 	m.flushObs()
 	return res, m.fatal
@@ -222,19 +212,11 @@ func (m *machine) pushFrame(fnIdx int32, caller *vframe, argSlots []uint16) {
 // recordEvent appends the trace event for the instruction with the given
 // LocalID, reading operands from their slots in Args order.
 func (m *machine) recordEvent(fr *vframe, fc *fnCode, localID int32) {
-	slots := fc.meta[localID].argSlots
-	ops := make([]uint64, len(slots))
-	defs := make([]int64, len(slots))
-	for i, s := range slots {
+	ops, defs := m.rec.Event(fc.instrs[localID])
+	for i, s := range fc.meta[localID].argSlots {
 		ops[i] = fr.regs[s]
 		defs[i] = fr.defs[s]
 	}
-	m.events = append(m.events, trace.Event{
-		Instr:  fc.instrs[localID],
-		Ops:    ops,
-		OpDefs: defs,
-		MemDef: trace.NoDef,
-	})
 }
 
 // injectBits applies the pending fault to a result being defined; the
@@ -322,7 +304,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 		idx := m.dyn
 		m.dyn++
 		m.executed++
-		if m.record {
+		if m.rec != nil {
 			m.recordEvent(fr, fc, src)
 		}
 		if m.dyn > m.max {
@@ -496,8 +478,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			regs[dst] = r
 			defs[dst] = idx
-			if m.record {
-				m.events[idx].Result = r
+			if m.rec != nil {
+				m.rec.SetResult(idx, r)
 			}
 			// Second half: plain condbr words at pc (already advanced).
 			w3 := code[pc+1]
@@ -505,7 +487,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			aux2 := uint32(w3)
 			m.dyn++
 			m.executed++
-			if m.record {
+			if m.rec != nil {
 				m.recordEvent(fr, fc, src2)
 			}
 			if m.dyn > m.max {
@@ -529,8 +511,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			regs[dst] = r
 			defs[dst] = idx
-			if m.record {
-				m.events[idx].Result = r
+			if m.rec != nil {
+				m.rec.SetResult(idx, r)
 			}
 			w2 := code[pc]
 			w3 := code[pc+1]
@@ -540,7 +522,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			idx2 := m.dyn
 			m.dyn++
 			m.executed++
-			if m.record {
+			if m.rec != nil {
 				m.recordEvent(fr, fc, src2)
 			}
 			if m.dyn > m.max {
@@ -557,8 +539,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			regs[dst2] = lv
 			defs[dst2] = idx2
-			if m.record {
-				m.events[idx2].Result = lv
+			if m.rec != nil {
+				m.rec.SetResult(idx2, lv)
 			}
 			pc += 2
 			continue
@@ -574,8 +556,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 		}
 		regs[dst] = r
 		defs[dst] = idx
-		if m.record {
-			m.events[idx].Result = r
+		if m.rec != nil {
+			m.rec.SetResult(idx, r)
 		}
 	}
 }
@@ -648,13 +630,9 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		idx := m.dyn
 		m.dyn++
 		m.executed++
-		if m.record {
-			m.events = append(m.events, trace.Event{
-				Instr:  g.phis[i],
-				Ops:    []uint64{bits},
-				OpDefs: []int64{def},
-				MemDef: trace.NoDef,
-			})
+		if m.rec != nil {
+			ops, defs := m.rec.Event(g.phis[i])
+			ops[0], defs[0] = bits, def
 		}
 		m.phiVals[i] = bits
 		m.phiIdx[i] = idx
@@ -680,8 +658,8 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		}
 		fr.regs[in.LocalID] = r
 		fr.defs[in.LocalID] = idx
-		if m.record {
-			m.events[idx].Result = r
+		if m.rec != nil {
+			m.rec.SetResult(idx, r)
 		}
 	}
 	return g.endPC
@@ -716,8 +694,8 @@ func (m *machine) popFrame(retVal uint64, retDef int64) {
 	}
 	fr.regs[in.LocalID] = bits
 	fr.defs[in.LocalID] = retDef
-	if m.record {
-		m.events[fr.callIdx].Result = fr.regs[in.LocalID]
+	if m.rec != nil {
+		m.rec.SetResult(fr.callIdx, fr.regs[in.LocalID])
 	}
 	fr.callIdx = 0
 }
@@ -727,11 +705,8 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 	size := int64(aux & 0xff)
 	mw := aux >> 8 & 0xff
 	align := int64(aux >> 16 & 0xff)
-	if m.record {
-		ev := &m.events[idx]
-		ev.Addr = addr
-		ev.VMAVer = m.as.Version()
-		ev.SP = m.as.SP()
+	if m.rec != nil {
+		m.rec.Access(idx, addr, m.as.Version(), m.as.SP())
 	}
 	if !m.alignOK(size, align, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned load")
@@ -743,10 +718,8 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 		return 0, false
 	}
 	v := truncTo(raw, mw)
-	if m.record {
-		if d, ok := m.memDef[addr]; ok {
-			m.events[idx].MemDef = d
-		}
+	if m.rec != nil {
+		m.rec.Loaded(idx, addr)
 	}
 	return v, true
 }
@@ -755,11 +728,8 @@ func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) b
 	m.stores++
 	size := int64(aux & 0xff)
 	align := int64(aux >> 8 & 0xff)
-	if m.record {
-		ev := &m.events[idx]
-		ev.Addr = addr
-		ev.VMAVer = m.as.Version()
-		ev.SP = m.as.SP()
+	if m.rec != nil {
+		m.rec.Access(idx, addr, m.as.Version(), m.as.SP())
 	}
 	if !m.alignOK(size, align, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned store")
@@ -769,10 +739,8 @@ func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) b
 		m.raise(interp.ExcSegFault, in, addr, err.Error())
 		return false
 	}
-	if m.record {
-		for i := int64(0); i < size; i++ {
-			m.memDef[addr+uint64(i)] = idx
-		}
+	if m.rec != nil {
+		m.rec.Stored(idx, addr, size)
 	}
 	return true
 }

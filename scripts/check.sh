@@ -22,15 +22,18 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (obs + ts + alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + rangeprop + epvf + traced CLIs)"
+echo "== go test -race (obs + ts + alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + rangeprop + epvf + trace + traced CLIs)"
 go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... \
     ./internal/dashboard/... ./internal/campaign/... ./internal/dist/... \
     ./internal/snapshot/... ./internal/mem/... ./internal/fi/... ./internal/attr/... \
     ./internal/cache/... ./internal/inc/... ./internal/serve/... ./internal/vm/... \
-    ./internal/rangeprop/... ./internal/epvf/... \
+    ./internal/rangeprop/... ./internal/epvf/... ./internal/trace/... \
     ./cmd/epvf/... ./cmd/campaign/...
 
 echo "== vm differential smoke (walker vs bytecode VM, fuzz corpus seeds)"
 go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|FuzzDifferential' -count=1
+
+echo "== trace load fuzz smoke (committed FuzzLoad seed corpus: kernels, truncated, corrupted)"
+go test ./internal/trace/ -run 'FuzzLoad|TestFuzzLoadCorpus' -count=1
 
 echo "check: OK"
