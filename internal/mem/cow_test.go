@@ -162,7 +162,9 @@ func TestWriteSpanningPages(t *testing.T) {
 
 // TestConcurrentForkWriters exercises the refcount protocol under the race
 // detector: a frozen snapshot space is forked by many goroutines that each
-// write their own clone while the others do the same on shared pages.
+// write their own clones while the others do the same on shared pages —
+// one clone through WriteBytes, one through the LoadFast/StoreFast TLB
+// path (a load first, so the store hits an entry on a shared page).
 func TestConcurrentForkWriters(t *testing.T) {
 	frozen := New(DefaultLayout())
 	base := DefaultLayout().DataBase
@@ -184,6 +186,25 @@ func TestConcurrentForkWriters(t *testing.T) {
 			}
 			if !clone.ReadBytesEqualsFrozenTail(frozen, base, 16) {
 				panic("clone lost untouched tail bytes")
+			}
+			fast := frozen.Fork()
+			for i := 0; i < 16; i++ {
+				addr := base + uint64(i)*PageSize
+				if v, err := fast.LoadFast(addr, 1); err != nil || v != uint64(i) {
+					panic(fmt.Sprintf("goroutine %d: LoadFast = %d, %v", g, v, err))
+				}
+				if err := fast.StoreFast(addr, 1, uint64(g+100)); err != nil {
+					panic(err)
+				}
+				if v, _ := fast.LoadFast(addr, 1); v != uint64(g+100) {
+					panic(fmt.Sprintf("goroutine %d read back %d through the TLB", g, v))
+				}
+			}
+			if fast.DirtyPages() != 16 {
+				panic(fmt.Sprintf("goroutine %d: %d COW faults, want 16", g, fast.DirtyPages()))
+			}
+			if !fast.ReadBytesEqualsFrozenTail(frozen, base, 16) {
+				panic("fast-path clone lost untouched tail bytes")
 			}
 		}(g)
 	}

@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -205,18 +206,10 @@ type AddressSpace struct {
 	// page" cost.
 	dirtied int64
 
-	// One-entry VMA-bounds caches for the LoadFast/StoreFast hot path.
-	// Each caches the [lo, hi) of the VMA that satisfied the most recent
-	// fast access, tagged with the version that made it valid; any VMA
-	// table change bumps version and so invalidates both. VMAs only ever
-	// grow or get appended (Free keeps mmap segments mapped), so a cached
-	// range at the current version can never cover unmapped addresses.
-	// The zero value is invalid (hi == 0 admits no address), which is why
-	// Fork need not copy these.
-	fastRLo, fastRHi uint64
-	fastRVer         int
-	fastWLo, fastWHi uint64
-	fastWVer         int
+	// tlb caches per-page legality and page pointers for LoadFast and
+	// StoreFast. It is allocated on the first fast access and never copied
+	// by Fork, so frozen snapshots do not carry one.
+	tlb *tlb
 }
 
 // New creates an address space with the given layout and reserves the text,
@@ -439,17 +432,21 @@ func (as *AddressSpace) writablePage(addr uint64) *page {
 	p := as.pages[key]
 	if p == nil {
 		p = newPage()
-		as.pages[key] = p
-		as.dirtied++
-		return p
-	}
-	if p.refs.Load() > 1 {
+	} else if p.refs.Load() > 1 {
 		cp := newPage()
 		cp.data = p.data
 		p.refs.Add(-1)
-		as.pages[key] = cp
-		as.dirtied++
-		return cp
+		p = cp
+	} else {
+		return p
+	}
+	as.pages[key] = p
+	as.dirtied++
+	// A TLB entry for this page must now point at the new page.
+	if as.tlb != nil {
+		if e := &as.tlb[key%tlbEntries]; e.tag == key {
+			e.p = p
+		}
 	}
 	return p
 }
@@ -607,67 +604,127 @@ func (as *AddressSpace) ReadUint(addr uint64, size int64) uint64 {
 	return v
 }
 
+// tlbEntries is the number of direct-mapped software TLB entries.
+const tlbEntries = 32
+
+// tlbEntry caches one page: its page number (tag), the VMA version the
+// entry was filled at, the page itself (nil reads as zero) and whether the
+// page's VMA is writable. VMAs are page-aligned, so legality is a property
+// of the whole page. An entry is live only while ver equals the address
+// space's version; any VMA change bumps the version and so invalidates
+// every entry at once. The zero entry is never live (versions start at 1).
+type tlbEntry struct {
+	tag      uint64
+	ver      int
+	p        *page
+	writable bool
+}
+
+type tlb [tlbEntries]tlbEntry
+
+// lookup returns the live entry for the page holding addr when the size
+// bytes at addr stay inside that page, or nil.
+func (as *AddressSpace) lookup(addr uint64, size int64) *tlbEntry {
+	if as.tlb == nil || uint64(size-1) >= 8 || addr%PageSize+uint64(size) > PageSize {
+		return nil
+	}
+	key := addr / PageSize
+	if e := &as.tlb[key%tlbEntries]; e.tag == key && e.ver == as.version {
+		return e
+	}
+	return nil
+}
+
+// fill installs the entry for the page holding addr after a successful
+// CheckAccess, provided one VMA covers the whole page.
+func (as *AddressSpace) fill(addr uint64) {
+	i, ok := as.findVMA(addr)
+	if !ok {
+		return
+	}
+	v := &as.vmas[i]
+	key := addr / PageSize
+	if v.Start > key*PageSize || v.End < (key+1)*PageSize {
+		return
+	}
+	if as.tlb == nil {
+		as.tlb = new(tlb)
+	}
+	as.tlb[key%tlbEntries] = tlbEntry{
+		tag: key, ver: as.version, p: as.pages[key], writable: v.Perm&PermWrite != 0,
+	}
+}
+
 // LoadFast validates and performs a little-endian load in one pass. It is
 // observably identical to CheckAccess(addr, size, false) followed by
-// ReadUint, but skips the binary VMA search when the access lands in the
-// same segment as the last fast load at an unchanged VMA version, and
-// reads page bytes in place instead of through an allocated slice. Loads
-// never require read permission (checkOne does not test it), so a cache
-// hit needs only a bounds check.
+// ReadUint. A load of at most eight bytes inside one page whose TLB entry
+// is live needs no VMA search and no page-map lookup; loads never require
+// read permission (checkOne does not test it). Every miss, page-crossing
+// access and fault takes the CheckAccess path.
 func (as *AddressSpace) LoadFast(addr uint64, size int64) (uint64, error) {
-	if size <= 0 {
-		size = 1
+	if e := as.lookup(addr, size); e != nil {
+		return readPage(e.p, addr%PageSize, size), nil
 	}
-	last := addr + uint64(size) - 1
-	if !(as.fastRVer == as.version && addr >= as.fastRLo && last < as.fastRHi && last >= addr) {
-		if err := as.CheckAccess(addr, size, false); err != nil {
-			return 0, err
-		}
-		// CheckAccess may have grown the stack (and bumped version), so
-		// re-resolve the governing VMA for the refreshed cache entry.
-		if i, ok := as.findVMA(addr); ok && last < as.vmas[i].End {
-			as.fastRLo, as.fastRHi, as.fastRVer = as.vmas[i].Start, as.vmas[i].End, as.version
-		}
+	if err := as.CheckAccess(addr, size, false); err != nil {
+		return 0, err
 	}
-	off := addr % PageSize
-	if off+uint64(size) <= PageSize {
-		var v uint64
-		if p := as.pages[addr/PageSize]; p != nil {
-			for i := int64(0); i < size; i++ {
-				v |= uint64(p.data[off+uint64(i)]) << (8 * uint(i))
-			}
-		}
-		return v, nil
-	}
+	as.fill(addr)
 	return as.ReadUint(addr, size), nil
 }
 
 // StoreFast validates and performs a little-endian store in one pass —
-// the write counterpart of LoadFast. The cached range is only installed
-// for writable VMAs, so a hit implies write permission.
+// the write counterpart of LoadFast. A hit on a writable page writes in
+// place only while this address space is the page's sole owner; otherwise
+// writablePage materializes or copies it (and refreshes the entry), so a
+// Fork taken by the owner still forces copy-on-write.
 func (as *AddressSpace) StoreFast(addr uint64, size int64, v uint64) error {
-	if size <= 0 {
-		size = 1
-	}
-	last := addr + uint64(size) - 1
-	if !(as.fastWVer == as.version && addr >= as.fastWLo && last < as.fastWHi && last >= addr) {
-		if err := as.CheckAccess(addr, size, true); err != nil {
-			return err
+	if e := as.lookup(addr, size); e != nil && e.writable {
+		p := e.p
+		if p == nil || p.refs.Load() != 1 {
+			p = as.writablePage(addr)
 		}
-		if i, ok := as.findVMA(addr); ok && last < as.vmas[i].End && as.vmas[i].Perm&PermWrite != 0 {
-			as.fastWLo, as.fastWHi, as.fastWVer = as.vmas[i].Start, as.vmas[i].End, as.version
-		}
+		writePage(p, addr%PageSize, size, v)
+		return nil
 	}
-	off := addr % PageSize
-	if off+uint64(size) <= PageSize {
-		p := as.writablePage(addr)
+	if err := as.CheckAccess(addr, size, true); err != nil {
+		return err
+	}
+	as.WriteUint(addr, size, v)
+	as.fill(addr)
+	return nil
+}
+
+// readPage loads size (1..8) bytes at off of p little-endian; off+size
+// must not pass the page end.
+func readPage(p *page, off uint64, size int64) uint64 {
+	if p == nil {
+		return 0
+	}
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(p.data[off:])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(p.data[off:]))
+	}
+	var v uint64
+	for i := int64(0); i < size; i++ {
+		v |= uint64(p.data[off+uint64(i)]) << (8 * uint(i))
+	}
+	return v
+}
+
+// writePage stores the low size (1..8) bytes of v at off of p.
+func writePage(p *page, off uint64, size int64, v uint64) {
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(p.data[off:], v)
+	case 4:
+		binary.LittleEndian.PutUint32(p.data[off:], uint32(v))
+	default:
 		for i := int64(0); i < size; i++ {
 			p.data[off+uint64(i)] = byte(v >> (8 * uint(i)))
 		}
-		return nil
 	}
-	as.WriteUint(addr, size, v)
-	return nil
 }
 
 // MmapThreshold is the allocation size above which Malloc places the block

@@ -17,7 +17,7 @@ const cacheKind = "vm-code-v1"
 
 // codecVersion guards the serialized layout; bump on format changes so
 // old entries read as misses and recompile.
-const codecVersion = 1
+const codecVersion = 2
 
 type enc struct{ b []byte }
 

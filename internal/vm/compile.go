@@ -290,8 +290,7 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op = vopConvert
-		aux = maskWidth(in.Ty)
+		op, aux = convertVop(in)
 	case in.Op == ir.OpAlloca:
 		op = vopAlloca
 		off := c.offsets[in]
@@ -308,7 +307,7 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if sz <= 0 || sz > 255 || al <= 0 || al > 255 {
 			return fmt.Errorf("%w: load size %d align %d", ErrUnsupported, sz, al)
 		}
-		aux = uint32(al)<<16 | maskWidth(in.Ty)<<8 | uint32(sz)
+		aux = alignCode(sz, al)<<16 | maskWidth(in.Ty)<<8 | uint32(sz)
 	case in.Op == ir.OpStore:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
@@ -318,7 +317,7 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if sz <= 0 || sz > 255 || al <= 0 || al > 255 {
 			return fmt.Errorf("%w: store size %d align %d", ErrUnsupported, sz, al)
 		}
-		aux = uint32(al)<<8 | uint32(sz)
+		aux = alignCode(sz, al)<<8 | uint32(sz)
 	case in.Op == ir.OpGEP:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
@@ -445,6 +444,44 @@ func maskWidth(ty *ir.Type) uint32 {
 		return uint32(ty.Bits)
 	}
 	return 0
+}
+
+// convertVop picks the opcode and aux for a conversion. Integer casts
+// whose result is an integer (and, for sext, whose source is one) get
+// their own opcodes; everything else — float casts and casts of unusual
+// shape — evaluates through interp.ConvertOp, masked to the result width.
+func convertVop(in *ir.Instr) (vop, uint32) {
+	mw := maskWidth(in.Ty)
+	from := in.Args[0].Type()
+	switch in.Op {
+	case ir.OpTrunc:
+		// TruncateToWidth to an integer width equals the result mask.
+		if in.Ty.IsInt() && in.Ty.Bits > 0 {
+			return vopTrunc, mw
+		}
+	case ir.OpZExt, ir.OpBitcast, ir.OpPtrToInt, ir.OpIntToPtr:
+		return vopTrunc, mw
+	case ir.OpSExt:
+		if from.IsInt() && from.Bits > 0 && from.Bits <= 64 {
+			return vopSExt, uint32(from.Bits)<<8 | mw
+		}
+	}
+	return vopConvert, mw
+}
+
+// alignCode encodes a memory access's alignment requirement for the
+// machine's alignOK: the natural alignment in the low byte (1 when the
+// walker skips the check, for accesses of at most one byte) and
+// alignNonPow2 when that alignment is not a power of two (i24, i40, i48,
+// i56 align to 3, 5, 6 and 7 bytes), so only those pay for a division.
+func alignCode(size, align int64) uint32 {
+	if size <= 1 {
+		return 1
+	}
+	if align&(align-1) != 0 {
+		return uint32(align) | alignNonPow2
+	}
+	return uint32(align)
 }
 
 // argSlots resolves every operand of in to a slot.

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -253,8 +254,102 @@ var edgeCasePrograms = []struct {
 	}`},
 }
 
+// oddWidthProgram fills 16 heap bytes with ones, then loads, sign-extends,
+// stores and reloads an i<w> at byte offset off from the (16-byte aligned)
+// block. i24 and i40 have the non-power-of-two natural alignments 3 and 5,
+// so sweeping off hits aligned and misaligned addresses under every policy.
+func oddWidthProgram(w, off int) string {
+	return strings.NewReplacer("W", fmt.Sprint(w), "OFF", fmt.Sprint(off)).Replace(`
+define void @main() {
+entry:
+  %r0 = malloc i8*, i64 64
+  %r1 = bitcast i8* %r0 to i64*
+  store i64 -1, i64* %r1
+  %r2 = getelementptr i64, i64* %r1, i64 1
+  store i64 -1, i64* %r2
+  %r3 = getelementptr i8, i8* %r0, i64 OFF
+  %r4 = bitcast i8* %r3 to iW*
+  %r5 = load iW, iW* %r4
+  output iW %r5
+  %r6 = sext iW %r5 to i64
+  output i64 %r6
+  store iW 1193046, iW* %r4
+  %r7 = load iW, iW* %r4
+  output iW %r7
+  %r8 = load i64, i64* %r1
+  output i64 %r8
+  %r9 = load i64, i64* %r2
+  output i64 %r9
+  ret void
+}
+`)
+}
+
+// castProgram applies every integer cast between i1, i8, i32 and i64 —
+// trunc to narrower, zext and sext to wider, bitcast to the same width —
+// to inputs with and without the sign bit set, plus inttoptr/ptrtoint
+// round trips, and outputs every result.
+func castProgram() string {
+	inputs := []struct {
+		w int
+		v string
+	}{
+		{1, "1"}, {1, "0"}, {8, "-128"}, {8, "-1"}, {8, "127"},
+		{32, "-2147483648"}, {32, "-7"}, {32, "2147483647"},
+		{64, "-9223372036854775808"}, {64, "-3"}, {64, "4294967295"},
+	}
+	var b strings.Builder
+	b.WriteString("define void @main() {\nentry:\n")
+	n := 0
+	emit := func(format string, args ...any) string {
+		n++
+		r := fmt.Sprintf("%%r%d", n)
+		fmt.Fprintf(&b, "  %s = %s\n", r, fmt.Sprintf(format, args...))
+		return r
+	}
+	for _, in := range inputs {
+		src := emit("add i%d %s, 0", in.w, in.v)
+		for _, to := range []int{1, 8, 32, 64} {
+			var ops []string
+			switch {
+			case to < in.w:
+				ops = []string{"trunc"}
+			case to > in.w:
+				ops = []string{"zext", "sext"}
+			default:
+				ops = []string{"bitcast"}
+			}
+			for _, op := range ops {
+				r := emit("%s i%d %s to i%d", op, in.w, src, to)
+				fmt.Fprintf(&b, "  output i%d %s\n", to, r)
+			}
+		}
+		if in.w >= 32 {
+			p := emit("inttoptr i%d %s to i8*", in.w, src)
+			for _, to := range []int{64, 32} {
+				r := emit("ptrtoint i8* %s to i%d", p, to)
+				fmt.Fprintf(&b, "  output i%d %s\n", to, r)
+			}
+		}
+	}
+	b.WriteString("  ret void\n}\n")
+	return b.String()
+}
+
+var alignPolicies = []struct {
+	name   string
+	policy interp.AlignPolicy
+}{
+	{"fourbyte", interp.AlignFourByte},
+	{"natural", interp.AlignNatural},
+	{"none", interp.AlignNone},
+}
+
 // TestDifferentialEdgeCases proves bit-identity on trap, hang, and
-// unhappy-path programs, where event ordering around the raise matters.
+// unhappy-path programs, where event ordering around the raise matters,
+// and on IR programs for what MiniC cannot express: odd-width (i24, i40)
+// loads and stores at every offset under each alignment policy, and every
+// integer cast.
 func TestDifferentialEdgeCases(t *testing.T) {
 	for _, tc := range edgeCasePrograms {
 		tc := tc
@@ -271,6 +366,50 @@ func TestDifferentialEdgeCases(t *testing.T) {
 			}
 		})
 	}
+	parse := func(t *testing.T, src string) *ir.Module {
+		t.Helper()
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, src)
+		}
+		return m
+	}
+	for _, w := range []int{24, 40} {
+		for _, ap := range alignPolicies {
+			w, ap := w, ap
+			name := fmt.Sprintf("i%d_%s", w, ap.name)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				trapped := 0
+				for off := 0; off < 8; off++ {
+					m := parse(t, oddWidthProgram(w, off))
+					cfg := interp.Config{Record: true, Align: ap.policy}
+					walker, vmr := runBoth(t, m, cfg)
+					if walker == nil {
+						t.Fatalf("offset %d: fatal run", off)
+					}
+					diffResults(t, fmt.Sprintf("%s/off%d", name, off), walker, vmr)
+					if walker.Exception != nil {
+						trapped++
+					}
+				}
+				// Natural and four-byte alignment must trap on some offsets
+				// and pass on others; no policy never traps.
+				if ap.policy == interp.AlignNone && trapped != 0 || ap.policy != interp.AlignNone && (trapped == 0 || trapped == 8) {
+					t.Fatalf("%d of 8 offsets trapped", trapped)
+				}
+			})
+		}
+	}
+	t.Run("int_casts", func(t *testing.T) {
+		t.Parallel()
+		m := parse(t, castProgram())
+		walker, vmr := runBoth(t, m, interp.Config{Record: true})
+		if walker == nil || walker.Exception != nil {
+			t.Fatalf("cast program did not run cleanly")
+		}
+		diffResults(t, "int_casts", walker, vmr)
+	})
 }
 
 // TestDifferentialInjection sweeps fault injections over every event of a

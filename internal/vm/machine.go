@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -59,11 +60,21 @@ type machine struct {
 	rec      *trace.Recorder // nil unless recording
 	outputs  []trace.Output
 
+	// alignCap caps the natural alignment a load or store must meet: 1
+	// under AlignNone, 4 under AlignFourByte, unbounded under
+	// AlignNatural.
+	alignCap uint64
+
 	exc       *interp.Exception
 	hang      bool
 	fatal     error
 	converged bool
 	conv      *convState
+	// convAt is the event index of the next pending golden checkpoint:
+	// the dispatch loop calls tryConverge only once dyn reaches it.
+	// math.MaxInt64 when no check can succeed yet (no convergence, or an
+	// injection still to apply).
+	convAt int64
 
 	phiVals []uint64
 	phiIdx  []int64
@@ -79,6 +90,15 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 		pool:    make([][]*vframe, len(p.fns)),
 		max:     cfg.MaxDynInstrs,
 		inj:     cfg.Injection,
+		convAt:  math.MaxInt64,
+	}
+	switch cfg.Align {
+	case interp.AlignNone:
+		m.alignCap = 1
+	case interp.AlignNatural:
+		m.alignCap = math.MaxUint64
+	default: // AlignFourByte
+		m.alignCap = 4
 	}
 	maxPhi := 0
 	for _, fc := range p.fns {
@@ -237,6 +257,9 @@ func (m *machine) injectBits(in *ir.Instr, bits uint64) uint64 {
 	}
 	inj.Original = bits
 	inj.Applied = true
+	if m.conv != nil {
+		m.convAt = 0 // convergence checks resume at the next dispatch
+	}
 	return bits ^ mask
 }
 
@@ -262,7 +285,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 	iters := int64(0)
 	defer func() { m.iters += iters }()
 	for {
-		if m.conv != nil {
+		if m.dyn >= m.convAt {
 			fr.pc = pc
 			if m.tryConverge() {
 				return
@@ -387,6 +410,10 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			r = icmpBits(aux, regs[a], regs[b])
 		case vopFCmp:
 			r = interp.FCmpOp(fc.instrs[src], regs[a], regs[b])
+		case vopTrunc:
+			r = truncTo(regs[a], aux)
+		case vopSExt:
+			r = truncTo(uint64(ir.SignExtend(regs[a], int(aux>>8))), aux&0xff)
 		case vopConvert:
 			r = truncTo(interp.ConvertOp(fc.instrs[src], regs[a]), aux)
 		case vopAlloca:
@@ -704,11 +731,10 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 	m.loads++
 	size := int64(aux & 0xff)
 	mw := aux >> 8 & 0xff
-	align := int64(aux >> 16 & 0xff)
 	if m.rec != nil {
 		m.rec.Access(idx, addr, m.as.Version(), m.as.SP())
 	}
-	if !m.alignOK(size, align, addr) {
+	if !m.alignOK(aux>>16, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned load")
 		return 0, false
 	}
@@ -727,11 +753,10 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) bool {
 	m.stores++
 	size := int64(aux & 0xff)
-	align := int64(aux >> 8 & 0xff)
 	if m.rec != nil {
 		m.rec.Access(idx, addr, m.as.Version(), m.as.SP())
 	}
-	if !m.alignOK(size, align, addr) {
+	if !m.alignOK(aux>>8, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned store")
 		return false
 	}
@@ -745,25 +770,15 @@ func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) b
 	return true
 }
 
-// alignOK mirrors the walker's alignment policy on precomputed element
-// size and natural alignment.
-func (m *machine) alignOK(size, align int64, addr uint64) bool {
-	if size <= 1 {
-		return true
+// alignOK mirrors the walker's alignment policy on a compile-time
+// alignCode: the requirement is the natural alignment capped by the
+// policy, tested with a mask unless it is not a power of two.
+func (m *machine) alignOK(code uint32, addr uint64) bool {
+	req := min(uint64(code&0xff), m.alignCap)
+	if code&alignNonPow2 == 0 {
+		return addr&(req-1) == 0
 	}
-	var req int64
-	switch m.cfg.Align {
-	case interp.AlignNone:
-		return true
-	case interp.AlignNatural:
-		req = align
-	default: // AlignFourByte
-		req = align
-		if req > 4 {
-			req = 4
-		}
-	}
-	return addr%uint64(req) == 0
+	return addr%req == 0
 }
 
 // flushObs publishes one run's tallies (see metrics.go).

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/interp"
 	"repro/internal/trace"
@@ -91,6 +92,7 @@ func (p *Program) Resume(st *interp.State, opts interp.ResumeOptions) (*interp.R
 		// A hung golden run has no final state to converge to, exactly
 		// as in interp.Resume.
 		m.conv = &convState{golden: c.Golden, next: c.Next}
+		m.convAt = m.dyn
 	}
 	m.run()
 	return m.finish()
@@ -103,8 +105,15 @@ func (p *Program) Resume(st *interp.State, opts interp.ResumeOptions) (*interp.R
 // pair is skipped, which is safe — a deterministic machine whose state
 // matched at the earlier event produces the identical future, so only
 // how much of it is executed (not any record content) can differ.
+//
+// The dispatch loop calls it only once dyn reaches convAt, which every
+// "not yet" answer advances: to the pending checkpoint's event, to the
+// next event after a mismatch, or to never while an injection is still
+// to apply (injectBits re-arms it). The calls it skips are exactly those
+// that would have returned false without side effects.
 func (m *machine) tryConverge() bool {
 	if m.inj != nil && !m.inj.Applied {
+		m.convAt = math.MaxInt64
 		return false
 	}
 	c := m.conv
@@ -113,6 +122,7 @@ func (m *machine) tryConverge() bool {
 			c.pending = c.next(m.dyn - 1)
 			if c.pending == nil {
 				m.conv = nil
+				m.convAt = math.MaxInt64
 				return false
 			}
 		}
@@ -122,11 +132,13 @@ func (m *machine) tryConverge() bool {
 		c.pending = nil
 	}
 	if c.pending.Event() > m.dyn {
+		m.convAt = c.pending.Event()
 		return false
 	}
 	st := c.pending
 	c.pending = nil
 	if !m.stateEqual(st) {
+		m.convAt = m.dyn + 1
 		return false
 	}
 	m.outputs = append(m.outputs, c.golden.Outputs[len(st.OutputsView()):]...)

@@ -77,11 +77,13 @@ const (
 	// Comparisons; vopICmp aux = pred<<8 | operand width.
 	vopICmp
 	vopFCmp
-	// Conversions; aux = result mask width (0 = no mask).
+	// Float conversions (and integer casts of unusual shape) through
+	// interp.ConvertOp; aux = result mask width (0 = no mask).
 	vopConvert
 	// Memory; vopAlloca aux = frame offset, vopLoad aux =
-	// align<<16|maskWidth<<8|size, vopStore aux = align<<8|size,
-	// vopGEP aux = stride and c = index width.
+	// alignCode<<16|maskWidth<<8|size, vopStore aux =
+	// alignCode<<8|size (see alignCode), vopGEP aux = stride and c =
+	// index width.
 	vopAlloca
 	vopLoad
 	vopStore
@@ -107,7 +109,15 @@ const (
 	// directly, retiring both events in walker order.
 	vopICmpBr
 	vopGEPLoad
+	// Integer casts. vopTrunc masks to aux width (0 = plain move): trunc,
+	// zext, bitcast, ptrtoint, inttoptr. vopSExt sign-extends from the
+	// source width and masks: aux = from<<8 | result mask width.
+	vopTrunc
+	vopSExt
 )
+
+// alignNonPow2 flags an alignCode whose alignment is not a power of two.
+const alignNonPow2 = 1 << 8
 
 const (
 	slotBits = 14
