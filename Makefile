@@ -1,6 +1,6 @@
 # Tier-1 verification gate and convenience targets.
 
-.PHONY: check build test fmt vet bench-obs bench-snapshot bench-vm dist-demo attr-demo serve-demo trace-demo gate-demo dash-demo
+.PHONY: check build test fmt vet bench-obs bench-snapshot dist-demo attr-demo serve-demo trace-demo gate-demo dash-demo
 
 check:
 	./scripts/check.sh
@@ -62,13 +62,6 @@ bench-obs:
 # counters are deterministic).
 bench-snapshot:
 	go run ./cmd/snapbench -out BENCH_snapshot.json
-
-# bench-vm runs the same snapshot-backed campaign on the frame-stack
-# walker and on the bytecode VM, verifies the record streams are
-# bit-identical, asserts the VM clears 2x walker throughput, and only
-# then refreshes the committed comparison.
-bench-vm:
-	go run ./cmd/vmbench -min-speedup 2 -out BENCH_vm.json
 
 build:
 	go build ./...

@@ -142,8 +142,8 @@ func followEvents(out io.Writer, base string, asJSON bool) error {
 }
 
 // renderLiveStatus formats a StatusJSON for the terminal: the progress
-// headline, the outcome table with Wilson CIs, the engine split, and the
-// telemetry/alert trailers when the server carries them.
+// headline, the outcome table with Wilson CIs, and the telemetry/alert
+// trailers when the server carries them.
 func renderLiveStatus(s *campaign.StatusJSON, alerts []alert.Transition) string {
 	var b strings.Builder
 	pct := 0.0
@@ -162,9 +162,6 @@ func renderLiveStatus(s *campaign.StatusJSON, alerts []alert.Transition) string 
 	}
 	for _, o := range s.Outcomes {
 		fmt.Fprintf(&b, "  %-10s %7d  %6.2f%% ± %.2f%%\n", o.Outcome, o.Count, 100*o.Rate, 100*o.CIHalfWidth)
-	}
-	for _, e := range s.Engines {
-		fmt.Fprintf(&b, "  engine %-8s %7d runs  %.2fM events/s\n", e.Engine, e.Runs, e.EventsPerSec/1e6)
 	}
 	if s.TS != nil {
 		fmt.Fprintf(&b, "  telemetry: %d series @ %gs stride, %d SSE subscribers (%d events, %d dropped)\n",

@@ -44,7 +44,6 @@ func run(args []string) error {
 	targeted := fs.Int("targeted", 400, "targeted injections for the precision study")
 	snap := fs.Bool("snapshot", true, "restore COW execution snapshots instead of replaying each run from scratch (auto-off under -jitter)")
 	snapStride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto, ~sqrt(trace length))")
-	engine := fs.String("engine", fi.EngineVM, "execution engine: vm (bytecode dispatch loop, walker fallback) or walker")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,7 +60,6 @@ func run(args []string) error {
 	cfg := fi.Config{
 		Runs: *runs, Seed: *seed, JitterWindow: *jitterPages * mem.PageSize,
 		DisableSnapshots: !*snap, SnapshotStride: *snapStride,
-		Engine: *engine,
 	}
 	camp, err := fi.RunCampaign(m, golden, cfg)
 	if err != nil {

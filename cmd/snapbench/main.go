@@ -22,16 +22,15 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/interp"
 	"repro/internal/snapshot"
 )
 
-// comparison is one benchmark's scratch-vs-snapshot measurement on one
-// execution engine.
+// comparison is one benchmark's scratch-vs-snapshot measurement.
 type comparison struct {
 	Benchmark       string  `json:"benchmark"`
-	Engine          string  `json:"engine,omitempty"`
 	Runs            int64   `json:"runs"`
 	Seed            int64   `json:"seed"`
 	TraceEvents     int64   `json:"trace_events"`
@@ -72,19 +71,8 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 2016, "campaign seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "injection worker goroutines")
 	stride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto)")
-	engine := fs.String("engine", "both", "execution engine to measure: walker, vm, or both (one comparison per engine)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	var engines []string
-	switch *engine {
-	case "both":
-		engines = []string{fi.EngineWalker, fi.EngineVM}
-	case fi.EngineWalker, fi.EngineVM:
-		engines = []string{*engine}
-	default:
-		return fmt.Errorf("unknown engine %q (want %q, %q or both)", *engine, fi.EngineWalker, fi.EngineVM)
 	}
 
 	b, ok := bench.Get(*benchName)
@@ -95,64 +83,57 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	golden, err := interp.Run(m, interp.Config{Record: true})
+	golden, err := epvf.RunProfile(m, interp.Config{})
 	if err != nil {
 		return fmt.Errorf("golden run: %w", err)
 	}
+	cfg := fi.Config{Seed: *seed} // deterministic layout: snapshots apply
 
-	base := baseline{
-		Note:    "scratch vs snapshot campaign per engine; wall times are machine-dependent — event_speedup and the snapshot counters are deterministic",
-		Workers: *workers,
+	scratchRunner, err := fi.NewRunner(m, golden, cfg)
+	if err != nil {
+		return err
 	}
-	var ref []fi.Record
-	for _, eng := range engines {
-		cfg := fi.Config{Seed: *seed, Engine: eng} // deterministic layout: snapshots apply
+	t0 := time.Now()
+	scratchRecs := scratchRunner.RunRange(0, *runs, *workers)
+	scratchSec := time.Since(t0).Seconds()
 
-		scratchRunner, err := fi.NewRunner(m, golden, cfg)
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		scratchRecs := scratchRunner.RunRange(0, *runs, *workers)
-		scratchSec := time.Since(t0).Seconds()
+	snapRunner, err := fi.NewRunner(m, golden, cfg)
+	if err != nil {
+		return err
+	}
+	if ok, err := snapRunner.EnableSnapshots(snapshot.Config{Stride: *stride}); err != nil || !ok {
+		return fmt.Errorf("enabling snapshots: ok=%v err=%v", ok, err)
+	}
+	t0 = time.Now()
+	snapRecs := snapRunner.RunRange(0, *runs, *workers)
+	snapSec := time.Since(t0).Seconds()
 
-		snapRunner, err := fi.NewRunner(m, golden, cfg)
-		if err != nil {
-			return err
+	for i := range scratchRecs {
+		if snapRecs[i] != scratchRecs[i] {
+			return fmt.Errorf("bit-identity violated at run %d: scratch %+v, snapshot %+v",
+				i, scratchRecs[i], snapRecs[i])
 		}
-		if ok, err := snapRunner.EnableSnapshots(snapshot.Config{Stride: *stride}); err != nil || !ok {
-			return fmt.Errorf("enabling snapshots: ok=%v err=%v", ok, err)
-		}
-		t0 = time.Now()
-		snapRecs := snapRunner.RunRange(0, *runs, *workers)
-		snapSec := time.Since(t0).Seconds()
+	}
 
-		if ref == nil {
-			ref = scratchRecs
-		}
-		for i := range ref {
-			if scratchRecs[i] != ref[i] || snapRecs[i] != ref[i] {
-				return fmt.Errorf("%s: bit-identity violated at run %d: scratch %+v, snapshot %+v, ref %+v",
-					eng, i, scratchRecs[i], snapRecs[i], ref[i])
-			}
-		}
-
-		v := snapRunner.SnapshotView()
-		scratchEvents := v.ReplayedEvents + v.SkippedEvents
-		snapEvents := v.ReplayedEvents + golden.DynInstrs
-		base.Bench = append(base.Bench, comparison{
-			Benchmark:       *benchName,
-			Engine:          eng,
-			Runs:            *runs,
-			Seed:            *seed,
-			TraceEvents:     golden.DynInstrs,
-			SnapshotStride:  v.Stride,
-			ScratchSeconds:  scratchSec,
-			SnapshotSeconds: snapSec,
-			Speedup:         scratchSec / snapSec,
-			EventSpeedup:    float64(scratchEvents) / float64(snapEvents),
-			Snapshot:        v,
-		})
+	v := snapRunner.SnapshotView()
+	scratchEvents := v.ReplayedEvents + v.SkippedEvents
+	snapEvents := v.ReplayedEvents + golden.DynInstrs
+	c := comparison{
+		Benchmark:       *benchName,
+		Runs:            *runs,
+		Seed:            *seed,
+		TraceEvents:     golden.DynInstrs,
+		SnapshotStride:  v.Stride,
+		ScratchSeconds:  scratchSec,
+		SnapshotSeconds: snapSec,
+		Speedup:         scratchSec / snapSec,
+		EventSpeedup:    float64(scratchEvents) / float64(snapEvents),
+		Snapshot:        v,
+	}
+	base := baseline{
+		Note:    "scratch vs snapshot campaign on the bytecode VM; wall times are machine-dependent — event_speedup and the snapshot counters are deterministic",
+		Workers: *workers,
+		Bench:   []comparison{c},
 	}
 
 	w := out
@@ -170,11 +151,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *outPath != "" {
-		for _, c := range base.Bench {
-			fmt.Fprintf(out, "snapbench: %s/%s %d runs — scratch %.2fs, snapshot %.2fs (%.1fx wall, %.1fx events) -> %s\n",
-				c.Benchmark, c.Engine, c.Runs, c.ScratchSeconds, c.SnapshotSeconds,
-				c.Speedup, c.EventSpeedup, *outPath)
-		}
+		fmt.Fprintf(out, "snapbench: %s %d runs — scratch %.2fs, snapshot %.2fs (%.1fx wall, %.1fx events) -> %s\n",
+			c.Benchmark, c.Runs, c.ScratchSeconds, c.SnapshotSeconds, c.Speedup, c.EventSpeedup, *outPath)
 	}
 	return nil
 }

@@ -57,12 +57,6 @@ type RunOptions struct {
 	// to the log at checkpoints so `campaign attr` and /attr work without
 	// re-analysing the module. Like snapshots, it cannot change results.
 	Ledger *attr.Ledger
-	// Engine selects the fi execution engine: "" or fi.EngineVM runs
-	// injections on the bytecode VM (per-run walker fallback included),
-	// fi.EngineWalker forces the walker. Bit-identical either way, so —
-	// like snapshots — it is not part of plan identity and can differ
-	// between runs, resumes, and distributed workers of one campaign.
-	Engine string
 	// Tracer, when non-nil, enables correlated tracing: a deterministic
 	// campaign root span (TraceContext(plan.ID)), one span per executed
 	// shard, and bounded injection exemplar spans (slowest K + one per
@@ -137,9 +131,7 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 		return nil, fmt.Errorf("campaign: plan %s does not match module %q (content hash %s) — regenerate the plan",
 			plan.ID, m.Name, got)
 	}
-	fcfg := plan.FIConfig()
-	fcfg.Engine = opts.Engine // execution speed only; never part of plan identity
-	runner, err := fi.NewRunner(m, golden, fcfg)
+	runner, err := fi.NewRunner(m, golden, plan.FIConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +202,6 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	if runner.SnapshotsEnabled() {
 		mon.setSnapshotSource(runner.SnapshotView)
 	}
-	mon.setEngineSource(runner.EngineStats)
 	replayedCounts := make(map[fi.Outcome]int)
 	for _, rec := range st.records {
 		replayedCounts[rec.Outcome]++

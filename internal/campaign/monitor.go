@@ -43,9 +43,6 @@ type Monitor struct {
 	// snapSrc, when non-nil, supplies the runner's live snapshot stats
 	// for the status views; nil (snapshots off) omits the section.
 	snapSrc func() *snapshot.View
-	// engineSrc, when non-nil, supplies the runner's per-engine
-	// throughput split (VM vs walker events/sec) for the status views.
-	engineSrc func() []fi.EngineStat
 	// publish, when non-nil, receives throttled "campaign" progress
 	// events for the live SSE stream; it must never block (the ts.Hub
 	// publish path is non-blocking by construction).
@@ -84,14 +81,6 @@ func (m *Monitor) Registry() *obs.Registry { return m.reg }
 func (m *Monitor) setSnapshotSource(src func() *snapshot.View) {
 	m.mu.Lock()
 	m.snapSrc = src
-	m.mu.Unlock()
-}
-
-// setEngineSource binds the live per-engine stats source for status
-// rendering; the engine calls it with the runner's EngineStats.
-func (m *Monitor) setEngineSource(src func() []fi.EngineStat) {
-	m.mu.Lock()
-	m.engineSrc = src
 	m.mu.Unlock()
 }
 
@@ -271,9 +260,6 @@ func (m *Monitor) statusLocked(now time.Time) *StatusJSON {
 	if m.snapSrc != nil {
 		s.Snapshot = m.snapSrc()
 	}
-	if m.engineSrc != nil {
-		s.Engines = m.engineSrc()
-	}
 	if m.tsSrc != nil {
 		s.TS = m.tsSrc()
 	}
@@ -353,10 +339,6 @@ type StatusJSON struct {
 	// Snapshot reports copy-on-write snapshot activity; absent when
 	// snapshots are disabled (or ruled out by layout jitter).
 	Snapshot *snapshot.View `json:"snapshot,omitempty"`
-	// Engines reports executed work split by execution engine (bytecode
-	// VM vs frame-stack walker) with per-engine events/sec; absent in
-	// cold-log status, where no engine is live.
-	Engines []fi.EngineStat `json:"engines,omitempty"`
 	// TS and Alerts carry the live telemetry summaries when the
 	// dashboard layer is mounted; absent in cold-log status.
 	TS     *ts.Summary    `json:"ts,omitempty"`

@@ -19,8 +19,6 @@ func pageHandler(title string) http.Handler {
 			doc.AddDiv("dash-status")
 			doc.AddHeading("Campaign")
 			doc.AddDiv("dash-campaign")
-			doc.AddHeading("Engines")
-			doc.AddDiv("dash-engines")
 			doc.AddHeading("Fleet")
 			doc.AddDiv("dash-fleet")
 			doc.AddHeading("Cache")
@@ -148,18 +146,6 @@ const dashJS = `
     $('dash-campaign').innerHTML = html;
   }
 
-  function renderEngines() {
-    var c = state.campaign;
-    if (!c || !c.engines || !c.engines.length) {
-      $('dash-engines').innerHTML = '<p class="muted">no engine stats yet</p>'; return;
-    }
-    $('dash-engines').innerHTML = table(
-      ['engine', 'runs', 'events', 'events/sec'],
-      c.engines.map(function (e) {
-        return [esc(e.engine), num(e.runs), num(e.events), num(e.events_per_sec, 0)];
-      }));
-  }
-
   function renderFleet() {
     var f = state.fleet;
     if (!f) { $('dash-fleet').innerHTML = '<p class="muted">no dist coordinator in this process</p>'; return; }
@@ -255,7 +241,7 @@ const dashJS = `
       push(state.ciHist[o.outcome] = state.ciHist[o.outcome] || [], { hw: o.ci_half_width });
     });
     if (c.alerts) { state.alerts = c.alerts; renderAlerts(); }
-    renderCampaign(); renderEngines();
+    renderCampaign();
   }
 
   function refetchAlerts() {
@@ -306,7 +292,7 @@ const dashJS = `
   refetchAlerts();
   refetchHealth();
   setInterval(refetchHealth, 5000);
-  renderStatus(); renderCampaign(); renderEngines(); renderFleet();
+  renderStatus(); renderCampaign(); renderFleet();
   renderCache(); renderInc(); renderSpans(); renderAlerts();
   connect();
 })();

@@ -63,12 +63,6 @@ type WorkerConfig struct {
 	// SnapshotStride overrides the automatic snapshot spacing; zero
 	// keeps ~sqrt(trace length).
 	SnapshotStride int64
-	// Engine selects the fi execution engine ("" or fi.EngineVM for the
-	// bytecode VM, fi.EngineWalker for the walker). Purely a cost knob
-	// like DisableSnapshots: the engines are bit-identical, the shard
-	// hashes agree either way, and it never enters the capability
-	// handshake — a VM worker and a walker worker can serve one campaign.
-	Engine string
 	// Tracer, when non-nil, correlates this worker into the campaign's
 	// distributed trace: each leased shard runs under a span with the
 	// deterministic (plan, shard) identity, outgoing coordinator requests
@@ -222,9 +216,7 @@ func (w *Worker) handshake(ctx context.Context) error {
 		return fmt.Errorf("dist: capability handshake failed (stale module or binary?): %w", err)
 	}
 	w.plan = local
-	fcfg := local.FIConfig()
-	fcfg.Engine = w.cfg.Engine // speed only; excluded from plan identity above
-	w.runner, err = fi.NewRunner(w.cfg.Module, w.cfg.Golden, fcfg)
+	w.runner, err = fi.NewRunner(w.cfg.Module, w.cfg.Golden, local.FIConfig())
 	if err != nil {
 		return err
 	}

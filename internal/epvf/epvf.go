@@ -8,7 +8,6 @@
 package epvf
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -29,11 +28,6 @@ type Config struct {
 	Prop rangeprop.Config
 	// Interp configures the profiling run when analyzing a module.
 	Interp interp.Config
-	// Engine selects the profiling engine: "" or "vm" records the golden
-	// trace on the bytecode VM (falling back to the walker when the
-	// module cannot compile), "walker" forces the frame-stack walker.
-	// The recorded trace is bit-identical either way.
-	Engine string
 }
 
 // Timing breaks the analysis down the way Figure 10 does.
@@ -140,7 +134,7 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) *Analysis {
 func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("epvf_profile")
-	res, err := RunProfile(m, cfg.Interp, cfg.Engine)
+	res, err := RunProfile(m, cfg.Interp)
 	if err != nil {
 		sp.End()
 		return nil, nil, err
@@ -154,23 +148,16 @@ func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) 
 }
 
 // RunProfile executes the profiling run — icfg with Record forced on —
-// on the selected engine, "" meaning the VM. Modules the VM cannot compile
-// profile on the walker instead (counted in epvf_vm_fallbacks_total); an
-// unknown engine name is an error.
-func RunProfile(m *ir.Module, icfg interp.Config, engine string) (*interp.Result, error) {
+// on the bytecode VM. Modules the VM cannot compile profile on the walker
+// instead (counted in epvf_vm_fallbacks_total); the recorded trace is
+// bit-identical either way.
+func RunProfile(m *ir.Module, icfg interp.Config) (*interp.Result, error) {
 	icfg.Record = true
-	switch engine {
-	case "", "vm":
-		prog, err := vm.Compile(m, vm.Options{})
-		if err != nil {
-			return interp.Run(m, icfg)
-		}
-		return prog.Run(icfg)
-	case "walker":
+	prog, err := vm.Compile(m, vm.Options{})
+	if err != nil {
 		return interp.Run(m, icfg)
-	default:
-		return nil, fmt.Errorf("epvf: unknown engine %q (want \"vm\" or \"walker\")", engine)
 	}
+	return prog.Run(icfg)
 }
 
 // Compose assembles an Analysis around an externally merged propagation

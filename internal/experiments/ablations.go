@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crash"
 	"repro/internal/ddg"
+	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/interp"
 	"repro/internal/lang"
@@ -64,7 +65,7 @@ func AblationStackRule(s *Suite) (*AblationStackRuleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	golden, err := interp.Run(m, interp.Config{Record: true})
+	golden, err := epvf.RunProfile(m, interp.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -491,7 +491,7 @@ func Fig13(s *Suite) (*Fig13Result, error) {
 					return nil, 0, err
 				}
 			}
-			golden, err := interp.Run(m, interp.Config{Record: true})
+			golden, err := epvf.RunProfile(m, interp.Config{})
 			if err != nil {
 				return nil, 0, err
 			}

@@ -13,12 +13,10 @@
 package fi
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/interp"
@@ -117,68 +115,6 @@ type Config struct {
 	// (~sqrt(trace length)); zero keeps the default. Like
 	// DisableSnapshots it cannot change results, only their cost.
 	SnapshotStride int64
-	// Engine selects the execution engine: empty or EngineVM runs
-	// injections on the bytecode VM (falling back to the walker per-run
-	// on anything the VM cannot express), EngineWalker forces the
-	// frame-stack walker everywhere. The two engines are bit-identical —
-	// the differential suite in internal/vm enforces it — so, like
-	// DisableSnapshots, this cannot change results, only their speed,
-	// and is not part of campaign plan identity.
-	Engine string
-}
-
-// Engine names accepted by Config.Engine.
-const (
-	// EngineVM is the register-bytecode dispatch-loop engine (default).
-	EngineVM = "vm"
-	// EngineWalker is the original frame-stack instruction walker.
-	EngineWalker = "walker"
-)
-
-// EngineStat reports one engine's share of a runner's executed work; the
-// events/sec ratio is the paper-facing throughput number `campaign
-// status -json` publishes for both engines.
-type EngineStat struct {
-	// Engine is EngineVM or EngineWalker.
-	Engine string `json:"engine"`
-	// Runs is the number of injection runs the engine executed.
-	Runs int64 `json:"runs"`
-	// Events is the total dynamic instructions those runs executed
-	// (excluding snapshot prefixes and converged tails).
-	Events int64 `json:"events"`
-	// Seconds is the total wall time spent inside the engine.
-	Seconds float64 `json:"seconds"`
-	// EventsPerSec is Events/Seconds (0 when no time was recorded).
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// engineTally accumulates one engine's work under atomics (runs execute
-// concurrently from RunRange workers).
-type engineTally struct {
-	runs   atomic.Int64
-	events atomic.Int64
-	nanos  atomic.Int64
-}
-
-func (t *engineTally) note(res *interp.Result, start time.Time) {
-	t.runs.Add(1)
-	if res != nil {
-		t.events.Add(res.Executed)
-	}
-	t.nanos.Add(time.Since(start).Nanoseconds())
-}
-
-func (t *engineTally) stat(name string) EngineStat {
-	s := EngineStat{
-		Engine:  name,
-		Runs:    t.runs.Load(),
-		Events:  t.events.Load(),
-		Seconds: float64(t.nanos.Load()) / 1e9,
-	}
-	if s.Seconds > 0 {
-		s.EventsPerSec = float64(s.Events) / s.Seconds
-	}
-	return s
 }
 
 // Result aggregates a campaign.
@@ -280,13 +216,6 @@ func RunOne(m *ir.Module, golden *interp.Result, tgt Target, cfg Config, rng *ra
 
 // runWithLayout is RunOne with the per-run memory layout already drawn.
 func runWithLayout(m *ir.Module, golden *interp.Result, tgt Target, layout mem.Layout, cfg Config) Record {
-	rec, _ := runWithLayoutRes(m, golden, tgt, layout, cfg)
-	return rec
-}
-
-// runWithLayoutRes additionally returns the raw interpreter result (nil
-// on harness error) so callers can tally executed events.
-func runWithLayoutRes(m *ir.Module, golden *interp.Result, tgt Target, layout mem.Layout, cfg Config) (Record, *interp.Result) {
 	hangFactor := cfg.HangFactor
 	if hangFactor == 0 {
 		hangFactor = 10
@@ -301,9 +230,9 @@ func runWithLayoutRes(m *ir.Module, golden *interp.Result, tgt Target, layout me
 	if err != nil {
 		// Harness errors should be impossible for a verified module; report
 		// as abort-class crashes so campaigns remain total.
-		return Record{Target: tgt, Outcome: OutcomeCrash, Exc: interp.ExcAbort}, nil
+		return Record{Target: tgt, Outcome: OutcomeCrash, Exc: interp.ExcAbort}
 	}
-	return classify(golden, res, tgt), res
+	return classify(golden, res, tgt)
 }
 
 func classify(golden, res *interp.Result, tgt Target) Record {
@@ -373,15 +302,10 @@ type Runner struct {
 	// recorder ride on. Runs are only clocked when it is set, so the
 	// disabled path pays one nil check per run.
 	spanObserver func(index int64, rec Record, start time.Time, wall time.Duration)
-	// prog, when non-nil, is the bytecode-compiled module and runs
-	// injections on the VM engine; nil runs everything on the walker
-	// (Config.Engine == EngineWalker, or the module failed to compile).
+	// prog is the bytecode-compiled module every injection runs on; nil
+	// only when the module does not compile, in which case runs execute
+	// from scratch on the walker.
 	prog *vm.Program
-	// vmTally/walkerTally split executed work by the engine that actually
-	// ran it — per-run walker fallbacks land in walkerTally even when the
-	// VM is enabled.
-	vmTally     engineTally
-	walkerTally engineTally
 }
 
 // SetObserver streams every subsequent record through fn — the hook the
@@ -399,10 +323,10 @@ func (r *Runner) SetSpanObserver(fn func(index int64, rec Record, start time.Tim
 	r.spanObserver = fn
 }
 
-// NewRunner validates the golden run and indexes its trace for sampling.
-// Unless Config.Engine forces the walker, the module is compiled to
-// bytecode here; a module the VM cannot express downgrades to the walker
-// (counted in epvf_vm_fallbacks_total) rather than failing the campaign.
+// NewRunner validates the golden run and indexes its trace for sampling,
+// and compiles the module to bytecode; a module the VM cannot express
+// runs on the walker (counted in epvf_vm_fallbacks_total) rather than
+// failing the campaign.
 func NewRunner(m *ir.Module, golden *interp.Result, cfg Config) (*Runner, error) {
 	if golden.Trace == nil {
 		return nil, fmt.Errorf("fi: golden result has no recorded trace")
@@ -412,40 +336,10 @@ func NewRunner(m *ir.Module, golden *interp.Result, cfg Config) (*Runner, error)
 		return nil, fmt.Errorf("fi: module %q has no injectable register bits", m.Name)
 	}
 	r := &Runner{m: m, golden: golden, sampler: s, cfg: cfg}
-	switch cfg.Engine {
-	case "", EngineVM:
-		if prog, err := vm.Compile(m, vm.Options{}); err == nil {
-			r.prog = prog
-		}
-		// Compile failures already counted a "compile" fallback.
-	case EngineWalker:
-	default:
-		return nil, fmt.Errorf("fi: unknown engine %q (want %q or %q)", cfg.Engine, EngineVM, EngineWalker)
+	if prog, err := vm.Compile(m, vm.Options{}); err == nil {
+		r.prog = prog
 	}
 	return r, nil
-}
-
-// Engine returns the engine the runner executes on: EngineVM when the
-// module compiled to bytecode, EngineWalker otherwise.
-func (r *Runner) Engine() string {
-	if r.prog != nil {
-		return EngineVM
-	}
-	return EngineWalker
-}
-
-// EngineStats reports executed work split by engine, in (vm, walker)
-// order, omitting engines that ran nothing. Safe to call concurrently
-// with runs.
-func (r *Runner) EngineStats() []EngineStat {
-	var out []EngineStat
-	if s := r.vmTally.stat(EngineVM); s.Runs > 0 {
-		out = append(out, s)
-	}
-	if s := r.walkerTally.stat(EngineWalker); s.Runs > 0 {
-		out = append(out, s)
-	}
-	return out
 }
 
 // Sampler exposes the bit-population index (e.g. for TotalBits).
@@ -455,13 +349,14 @@ func (r *Runner) Sampler() *Sampler { return r.sampler }
 // RunIndex calls restore-and-replay instead of executing from scratch.
 // It reports false without error when the configuration rules snapshots
 // out: layout jitter draws a fresh address-space layout per run, so a
-// shared golden-layout snapshot cannot seed those runs.
+// shared golden-layout snapshot cannot seed those runs, and a module the
+// VM could not compile has no VM execution to capture.
 //
 // The chain's interpreter configuration matches the scratch path exactly
 // (default layout, hang budget, alignment policy), which is what makes
 // resumed runs bit-identical to from-scratch runs.
 func (r *Runner) EnableSnapshots(scfg snapshot.Config) (bool, error) {
-	if r.cfg.JitterWindow != 0 {
+	if r.cfg.JitterWindow != 0 || r.prog == nil {
 		return false, nil
 	}
 	if r.chain != nil {
@@ -471,7 +366,7 @@ func (r *Runner) EnableSnapshots(scfg snapshot.Config) (bool, error) {
 	if hangFactor == 0 {
 		hangFactor = 10
 	}
-	ch, err := snapshot.NewChain(r.m, interp.Config{
+	ch, err := snapshot.NewChain(r.prog, interp.Config{
 		Layout:       mem.DefaultLayout(),
 		MaxDynInstrs: int64(hangFactor * float64(r.golden.DynInstrs)),
 		Align:        r.cfg.Align,
@@ -534,29 +429,23 @@ func (r *Runner) RunIndex(index int64) Record {
 	return rec
 }
 
-// runScratch executes one injection from scratch on the selected engine.
-// The per-run interpreter configuration is identical to runWithLayout's;
-// the engines are bit-identical, so which one ran is invisible in the
-// record.
+// runScratch executes one injection from scratch: on the VM, or on the
+// walker when the module did not compile. The per-run interpreter
+// configuration is identical to runWithLayout's.
 func (r *Runner) runScratch(tgt Target, layout mem.Layout) Record {
 	if r.prog == nil {
-		start := time.Now()
-		rec, res := runWithLayoutRes(r.m, r.golden, tgt, layout, r.cfg)
-		r.walkerTally.note(res, start)
-		return rec
+		return runWithLayout(r.m, r.golden, tgt, layout, r.cfg)
 	}
 	hangFactor := r.cfg.HangFactor
 	if hangFactor == 0 {
 		hangFactor = 10
 	}
-	start := time.Now()
 	res, err := r.prog.Run(interp.Config{
 		Layout:       layout,
 		MaxDynInstrs: int64(hangFactor * float64(r.golden.DynInstrs)),
 		Align:        r.cfg.Align,
 		Injection:    &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask},
 	})
-	r.vmTally.note(res, start)
 	if err != nil {
 		return Record{Target: tgt, Outcome: OutcomeCrash, Exc: interp.ExcAbort}
 	}
@@ -566,35 +455,12 @@ func (r *Runner) runScratch(tgt Target, layout mem.Layout) Record {
 // runSnapshot executes one injection by restoring the nearest snapshot
 // at-or-below the target event and running only the delta, with
 // convergence fast-forward against later snapshots. Classification is
-// identical to the scratch path because the resumed run is. Snapshots are
-// captured by the walker; the VM engine resumes them directly, dropping
-// to a walker resume for any state it cannot map (mid-phi-group pauses).
+// identical to the scratch path because the resumed run is.
 func (r *Runner) runSnapshot(tgt Target) Record {
-	st := r.chain.Nearest(tgt.Event)
-	opts := interp.ResumeOptions{
+	res, err := r.prog.Resume(r.chain.Nearest(tgt.Event), vm.ResumeOptions{
 		Injection:   &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask},
-		Convergence: &interp.Convergence{Golden: r.golden, Next: r.chain.Next},
-	}
-	var res *interp.Result
-	var err error
-	if r.prog != nil {
-		start := time.Now()
-		res, err = r.prog.Resume(st, opts)
-		if err != nil && errors.Is(err, vm.ErrUnsupported) {
-			// The failed VM resume never touched the snapshot; retry on
-			// the walker from the same state.
-			vm.NoteFallback("resume")
-			start = time.Now()
-			res, err = interp.Resume(st, opts)
-			r.walkerTally.note(res, start)
-		} else {
-			r.vmTally.note(res, start)
-		}
-	} else {
-		start := time.Now()
-		res, err = interp.Resume(st, opts)
-		r.walkerTally.note(res, start)
-	}
+		Convergence: &vm.Convergence{Golden: r.golden, Next: r.chain.Next},
+	})
 	if err != nil {
 		return Record{Target: tgt, Outcome: OutcomeCrash, Exc: interp.ExcAbort}
 	}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/ddg"
 	"repro/internal/epvf"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/rangeprop"
@@ -147,9 +146,7 @@ type Result struct {
 func AnalyzeModule(m *ir.Module, cfg Config) (*Result, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("epvf_inc_profile")
-	icfg := cfg.Epvf.Interp
-	icfg.Record = true
-	res, err := interp.Run(m, icfg)
+	res, err := epvf.RunProfile(m, cfg.Epvf.Interp)
 	if err != nil {
 		sp.End()
 		return nil, err

@@ -357,6 +357,31 @@ func TestBadRequestStageHeader(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a /v1/analyze body past MaxAnalyzeBodyBytes
+// is cut off at the bound and answered 413 with the unresolved stage
+// header, counted as a bad request; a body just under the bound still
+// reaches the IR parser.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := startDaemon(t, t.TempDir())
+	filler := func(n int) string { return `{"ir": "` + strings.Repeat("x", n) + `"}` }
+	resp := rawAnalyze(t, s.Addr(), filler(MaxAnalyzeBodyBytes))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if got := resp.Header.Get(StageHeader); got != StageUnresolved {
+		t.Fatalf("oversized body: %s = %q, want %q", StageHeader, got, StageUnresolved)
+	}
+	if n := s.reg.Snapshot().Counter("epvf_serve_requests_total", "endpoint", "analyze", "outcome", "bad_request"); n != 1 {
+		t.Fatalf("bad_request count = %d, want 1", n)
+	}
+	resp = rawAnalyze(t, s.Addr(), filler(MaxAnalyzeBodyBytes-64))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body under the bound: status %d, want 400 from the IR parser", resp.StatusCode)
+	}
+}
+
 // servedIsolated is a module of mutually isolated functions (private
 // arrays, own outputs) so a one-function edit perturbs exactly one
 // section. Mirrors the internal/inc fixture.

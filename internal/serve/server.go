@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,6 +27,13 @@ import (
 // sha256 of the module's canonical IR print under this tag keys both
 // the summary and the golden-trace cache entries.
 const moduleTag = "epvf-analysis-v1"
+
+// MaxAnalyzeBodyBytes bounds a /v1/analyze request body (4 MiB). The
+// largest built-in kernel's request is ~23 KB (srad at scale 2) and the
+// largest serve-mix request ~19.5 KB (lulesh), so this leaves two
+// orders of magnitude of headroom while keeping one request from pinning
+// unbounded memory in the JSON decoder.
+const MaxAnalyzeBodyBytes = 4 << 20
 
 // Cache kinds the daemon stores results under.
 const (
@@ -191,12 +199,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	t0 := time.Now()
 	sp := s.startSpan("analyze", req)
 	var areq AnalyzeRequest
-	if err := json.NewDecoder(req.Body).Decode(&areq); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, MaxAnalyzeBodyBytes)).Decode(&areq); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		sp.End()
 		s.countRequest("analyze", "bad_request")
 		s.observeStage(StageUnresolved, "bad_request", t0)
 		w.Header().Set(StageHeader, StageUnresolved)
-		http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("decode request: %v", err), status)
 		return
 	}
 	m, err := ir.Parse(areq.IR)
@@ -293,7 +306,7 @@ func (s *Server) analyze(m *ir.Module, modHash string) (*Summary, string, *Secti
 		// full run that overwrites it.
 	}
 	if s.incremental {
-		res, err := epvf.RunProfile(m, interp.Config{}, "")
+		res, err := epvf.RunProfile(m, interp.Config{})
 		if err != nil {
 			return nil, "", nil, err
 		}

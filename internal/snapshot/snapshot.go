@@ -4,16 +4,17 @@
 // delta instead of replaying the whole prefix (the FastFlip observation
 // applied to our execution layer).
 //
-// A Chain owns one stepwise golden execution (interp.Exec) and captures
-// its state every stride events, lazily: snapshots materialize the first
-// time a caller asks for an event beyond the captured frontier, and the
-// chain never runs further than the furthest request. Capture cost is
+// A Chain owns one stepwise golden execution on the bytecode VM (vm.Exec)
+// and captures its state every stride events, lazily: snapshots
+// materialize the first time a caller asks for an event beyond the
+// captured frontier, and the chain never runs further than the furthest
+// request. Capture cost is
 // O(dirty pages) thanks to mem's page-level COW fork; restore cost is an
 // O(frames + page pointers) fork of the frozen state.
 //
 // Chains are safe for concurrent use: lookups serialize only the lazy
-// extension, and the returned States are immutable (interp.Resume forks
-// them).
+// extension, and the returned States are immutable (vm.Program.Resume
+// forks them).
 package snapshot
 
 import (
@@ -23,8 +24,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/vm"
 )
 
 // DefaultMaxSnapshots caps a chain's snapshot count; the stride is widened
@@ -89,22 +90,22 @@ type View struct {
 // Chain is a lazily-extended sequence of golden-path snapshots.
 type Chain struct {
 	mu     sync.Mutex
-	exec   *interp.Exec
+	exec   *vm.Exec
 	live   bool  // golden execution still has instructions left
 	cursor int64 // next nominal capture event
-	snaps  []*interp.State
+	snaps  []*vm.State
 	stride int64
 
 	lastDirty int64
 	stats     Stats
 }
 
-// NewChain starts a golden execution of m under cfg and captures its
+// NewChain starts a golden execution of p under cfg and captures its
 // event-0 state. totalEvents is the golden trace length (it sizes the auto
 // stride); cfg must match the fault-injection run configuration exactly
 // (layout, alignment, budget) or resumed runs will diverge from scratch
 // runs.
-func NewChain(m *ir.Module, cfg interp.Config, totalEvents int64, scfg Config) (*Chain, error) {
+func NewChain(p *vm.Program, cfg interp.Config, totalEvents int64, scfg Config) (*Chain, error) {
 	stride := scfg.Stride
 	if stride <= 0 {
 		stride = AutoStride(totalEvents)
@@ -116,7 +117,7 @@ func NewChain(m *ir.Module, cfg interp.Config, totalEvents int64, scfg Config) (
 	if totalEvents/stride >= int64(maxSnaps) {
 		stride = totalEvents/int64(maxSnaps) + 1
 	}
-	exec, err := interp.NewExec(m, cfg)
+	exec, err := p.NewExec(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +161,9 @@ func (c *Chain) extendTo(event int64) {
 		if !c.live {
 			return
 		}
-		// Phi groups retire atomically, so the pause can undershoot the
-		// nominal point; skip duplicate captures at an unchanged event.
+		// Phi groups and fused pairs retire atomically, so the pause can
+		// undershoot the nominal point; skip duplicate captures at an
+		// unchanged event.
 		if c.exec.Event() > c.snaps[len(c.snaps)-1].Event() {
 			c.capture()
 		}
@@ -171,7 +173,7 @@ func (c *Chain) extendTo(event int64) {
 // Nearest returns the latest snapshot at-or-below event, extending the
 // chain if the frontier has not reached it yet. The event-0 snapshot
 // guarantees a hit.
-func (c *Chain) Nearest(event int64) *interp.State {
+func (c *Chain) Nearest(event int64) *vm.State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.extendTo(event)
@@ -181,8 +183,8 @@ func (c *Chain) Nearest(event int64) *interp.State {
 
 // Next returns the first snapshot with Event > after, or nil when the
 // golden execution ends before another snapshot exists. It serves as the
-// checkpoint source for interp.Convergence.
-func (c *Chain) Next(after int64) *interp.State {
+// checkpoint source for vm.Convergence.
+func (c *Chain) Next(after int64) *vm.State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {

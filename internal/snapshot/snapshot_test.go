@@ -9,6 +9,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/vm"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -18,6 +19,57 @@ func compile(t *testing.T, src string) *ir.Module {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
 	return m
+}
+
+func program(t *testing.T, m *ir.Module) *vm.Program {
+	t.Helper()
+	p, err := vm.Compile(m, vm.Options{})
+	if err != nil {
+		t.Fatalf("vm compile: %v", err)
+	}
+	return p
+}
+
+// resumeVsScratch resumes the nearest chain snapshot on the VM with
+// convergence on and compares the run against a from-scratch walker run
+// (the reference semantics) with the same injection: outputs, exception,
+// hang flag, final event position and injection bookkeeping. It returns
+// the resumed result for accounting.
+func resumeVsScratch(m *ir.Module, p *vm.Program, ch *Chain, golden *interp.Result, maxDyn, event int64, bit int) (*interp.Result, error) {
+	want := &interp.Injection{Event: event, Bit: bit}
+	scratch, err := interp.Run(m, interp.Config{MaxDynInstrs: maxDyn, Injection: want})
+	if err != nil {
+		return nil, fmt.Errorf("scratch: %v", err)
+	}
+	got := &interp.Injection{Event: event, Bit: bit}
+	res, err := p.Resume(ch.Nearest(event), vm.ResumeOptions{
+		Injection:   got,
+		Convergence: &vm.Convergence{Golden: golden, Next: ch.Next},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("resume: %v", err)
+	}
+	label := fmt.Sprintf("event %d bit %d", event, bit)
+	switch {
+	case res.Hang != scratch.Hang || res.DynInstrs != scratch.DynInstrs:
+		return nil, fmt.Errorf("%s: hang/dyn = (%v,%d), want (%v,%d)",
+			label, res.Hang, res.DynInstrs, scratch.Hang, scratch.DynInstrs)
+	case (res.Exception == nil) != (scratch.Exception == nil):
+		return nil, fmt.Errorf("%s: exception = %v, want %v", label, res.Exception, scratch.Exception)
+	case res.Exception != nil && (res.Exception.Kind != scratch.Exception.Kind ||
+		res.Exception.DynIdx != scratch.Exception.DynIdx || res.Exception.Addr != scratch.Exception.Addr):
+		return nil, fmt.Errorf("%s: exception = %+v, want %+v", label, res.Exception, scratch.Exception)
+	case *got != *want:
+		return nil, fmt.Errorf("%s: injection = %+v, want %+v", label, *got, *want)
+	case len(res.Outputs) != len(scratch.Outputs):
+		return nil, fmt.Errorf("%s: %d outputs, want %d", label, len(res.Outputs), len(scratch.Outputs))
+	}
+	for i := range scratch.Outputs {
+		if res.Outputs[i] != scratch.Outputs[i] {
+			return nil, fmt.Errorf("%s: output %d = %+v, want %+v", label, i, res.Outputs[i], scratch.Outputs[i])
+		}
+	}
+	return res, nil
 }
 
 const loopSrc = `
@@ -44,7 +96,7 @@ func TestChainInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChain(m, cfg, golden.DynInstrs, Config{Stride: 100})
+	ch, err := NewChain(program(t, m), cfg, golden.DynInstrs, Config{Stride: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +158,7 @@ func TestStrideCapAndAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChain(m, interp.Config{}, golden.DynInstrs, Config{Stride: 1, MaxSnapshots: 5})
+	ch, err := NewChain(program(t, m), interp.Config{}, golden.DynInstrs, Config{Stride: 1, MaxSnapshots: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +200,10 @@ func genProgram(rng *rand.Rand) string {
 }
 
 // TestPropertyResumedRunsBitIdentical is the core differential property:
-// for randomized lang programs and random injection targets, a run resumed
-// from the nearest chain snapshot (with convergence enabled) is
-// bit-identical to a from-scratch run — same outputs, exception, hang
-// flag, and final event position.
+// for randomized lang programs and random injection targets, a VM run
+// resumed from the nearest chain snapshot (with convergence enabled) is
+// bit-identical to a from-scratch walker run — same outputs, exception,
+// hang flag, final event position and injection bookkeeping.
 func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	programs := 6
@@ -169,47 +221,19 @@ func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 		if golden.Exception != nil || golden.Hang {
 			t.Fatalf("golden run not clean: %+v\n%s", golden, src)
 		}
-		ch, err := NewChain(m, cfg, golden.DynInstrs, Config{Stride: 50 + int64(rng.Intn(200))})
+		prog := program(t, m)
+		ch, err := NewChain(prog, cfg, golden.DynInstrs, Config{Stride: 50 + int64(rng.Intn(200))})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 30; trial++ {
 			event := rng.Int63n(golden.DynInstrs)
 			bit := rng.Intn(32)
-			inj := func() *interp.Injection { return &interp.Injection{Event: event, Bit: bit} }
-			scratch, err := interp.Run(m, interp.Config{MaxDynInstrs: cfg.MaxDynInstrs, Injection: inj()})
+			got, err := resumeVsScratch(m, prog, ch, golden, cfg.MaxDynInstrs, event, bit)
 			if err != nil {
-				t.Fatalf("scratch: %v", err)
-			}
-			st := ch.Nearest(event)
-			got, err := interp.Resume(st, interp.ResumeOptions{
-				Injection:   inj(),
-				Convergence: &interp.Convergence{Golden: golden, Next: ch.Next},
-			})
-			if err != nil {
-				t.Fatalf("resume: %v", err)
+				t.Fatalf("program %d trial %d: %v\n%s", p, trial, err, src)
 			}
 			ch.NoteRestore(got)
-			label := fmt.Sprintf("program %d trial %d event %d bit %d", p, trial, event, bit)
-			if got.Hang != scratch.Hang || got.DynInstrs != scratch.DynInstrs {
-				t.Fatalf("%s: hang/dyn mismatch: got (%v,%d) want (%v,%d)\n%s",
-					label, got.Hang, got.DynInstrs, scratch.Hang, scratch.DynInstrs, src)
-			}
-			if (got.Exception == nil) != (scratch.Exception == nil) {
-				t.Fatalf("%s: exception mismatch: got %v want %v", label, got.Exception, scratch.Exception)
-			}
-			if got.Exception != nil && (got.Exception.Kind != scratch.Exception.Kind ||
-				got.Exception.DynIdx != scratch.Exception.DynIdx) {
-				t.Fatalf("%s: exception = %+v, want %+v", label, got.Exception, scratch.Exception)
-			}
-			if len(got.Outputs) != len(scratch.Outputs) {
-				t.Fatalf("%s: %d outputs, want %d", label, len(got.Outputs), len(scratch.Outputs))
-			}
-			for i := range scratch.Outputs {
-				if got.Outputs[i] != scratch.Outputs[i] {
-					t.Fatalf("%s: output %d = %+v, want %+v", label, i, got.Outputs[i], scratch.Outputs[i])
-				}
-			}
 		}
 		v := ch.View()
 		if v.Restores != 30 {
@@ -222,7 +246,8 @@ func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentNearestResume hammers one chain from many goroutines under
-// -race: lazy extension, concurrent state forks, and stats updates.
+// -race: lazy extension, concurrent state forks, and stats updates. Every
+// resumed run must still equal its from-scratch walker run.
 func TestConcurrentNearestResume(t *testing.T) {
 	m := compile(t, loopSrc)
 	cfg := interp.Config{MaxDynInstrs: 1 << 20}
@@ -230,7 +255,8 @@ func TestConcurrentNearestResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChain(m, cfg, golden.DynInstrs, Config{Stride: 64})
+	prog := program(t, m)
+	ch, err := NewChain(prog, cfg, golden.DynInstrs, Config{Stride: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +266,7 @@ func TestConcurrentNearestResume(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for trial := 0; trial < 20; trial++ {
 				event := rng.Int63n(golden.DynInstrs)
-				st := ch.Nearest(event)
-				res, err := interp.Resume(st, interp.ResumeOptions{
-					Injection:   &interp.Injection{Event: event, Bit: rng.Intn(16)},
-					Convergence: &interp.Convergence{Golden: golden, Next: ch.Next},
-				})
+				res, err := resumeVsScratch(m, prog, ch, golden, cfg.MaxDynInstrs, event, rng.Intn(16))
 				if err != nil {
 					done <- err
 					return

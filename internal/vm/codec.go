@@ -17,7 +17,7 @@ const cacheKind = "vm-code-v1"
 
 // codecVersion guards the serialized layout; bump on format changes so
 // old entries read as misses and recompile.
-const codecVersion = 2
+const codecVersion = 3
 
 type enc struct{ b []byte }
 
@@ -110,13 +110,9 @@ func encodeFnCode(fc *fnCode) []byte {
 	for _, w := range fc.code {
 		e.f64(w)
 	}
-	for _, pc := range fc.pcOfLocal {
-		e.u(uint64(pc))
-	}
 	e.u(uint64(len(fc.blockPC)))
-	for i := range fc.blockPC {
-		e.u(uint64(fc.blockPC[i]))
-		e.i(int64(fc.fellPC[i]))
+	for _, pc := range fc.blockPC {
+		e.u(uint64(pc))
 	}
 	e.u(uint64(len(fc.brTab)))
 	for _, t := range fc.brTab {
@@ -242,19 +238,13 @@ func decodeFnCode(fn *ir.Function, data []byte) (*fnCode, error) {
 	for i := range fc.code {
 		fc.code[i] = d.f64()
 	}
-	fc.pcOfLocal = make([]int32, nLocals)
-	for i := range fc.pcOfLocal {
-		fc.pcOfLocal[i] = int32(d.u())
-	}
 	nBlocks := d.count(len(data))
 	if d.err == nil && nBlocks != len(fn.Blocks) {
 		return nil, fmt.Errorf("vm: cached block count mismatch")
 	}
 	fc.blockPC = make([]int32, nBlocks)
-	fc.fellPC = make([]int32, nBlocks)
-	for i := 0; i < nBlocks; i++ {
+	for i := range fc.blockPC {
 		fc.blockPC[i] = int32(d.u())
-		fc.fellPC[i] = int32(d.i())
 	}
 	blockAt := func(idx uint64) (*ir.Block, error) {
 		if idx >= uint64(len(fn.Blocks)) {
@@ -354,12 +344,151 @@ func decodeFnCode(fn *ir.Function, data []byte) (*fnCode, error) {
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("vm: trailing bytes in cache entry")
 	}
-	// Sanity: every slot reference must be inside the register file and
-	// every pc inside the code.
-	for _, pc := range fc.pcOfLocal {
-		if pc < 0 || int(pc) >= nCode {
-			return nil, fmt.Errorf("vm: cached pc out of range")
-		}
+	if err := fc.validate(); err != nil {
+		return nil, err
 	}
 	return fc, nil
+}
+
+// validate checks a decoded function against everything the dispatch
+// loop indexes without a bounds test of its own, so a bad entry reads as
+// a cache miss instead of panicking mid-run: every slot field inside the
+// register file, every pc an in-range instruction boundary, every side
+// table index in its table, no straight-line dispatch running off the
+// end of the code, and every code word naming an instruction of its own
+// kind with the memory aux that instruction implies (the walker's
+// helpers and the trace recorder act on the instruction, not the word).
+func (fc *fnCode) validate() error {
+	bad := func(what string) error { return fmt.Errorf("vm: cached %s out of range", what) }
+	nCode := int32(len(fc.code))
+	pcOK := func(pc int32) bool { return pc >= 0 && pc < nCode && pc%2 == 0 }
+	slotOK := func(s int) bool { return s < fc.nSlots }
+	if nCode == 0 || nCode%2 != 0 {
+		return bad("code length")
+	}
+	if fc.maxPhi < 0 || fc.maxPhi > fc.nLocals {
+		return bad("phi group bound")
+	}
+	for _, in := range fc.instrs {
+		if in == nil {
+			return bad("instruction table")
+		}
+	}
+	for _, pc := range fc.blockPC {
+		if !pcOK(pc) {
+			return bad("block pc")
+		}
+	}
+	for _, t := range fc.brTab {
+		if !pcOK(t.pc) {
+			return bad("branch target")
+		}
+	}
+	for _, t := range fc.condTab {
+		if !pcOK(t.tpc) || !pcOK(t.fpc) {
+			return bad("branch target")
+		}
+	}
+	for _, g := range fc.phiTab {
+		n := len(g.phis)
+		if n == 0 || n > fc.maxPhi || !pcOK(g.endPC) {
+			return bad("phi group")
+		}
+		for _, in := range g.phis {
+			if in.Op != ir.OpPhi {
+				return bad("phi group member")
+			}
+		}
+		for _, e := range g.edges {
+			want := n
+			if e.fatalAt >= 0 {
+				want = int(e.fatalAt)
+			}
+			if e.fatalAt < -1 || int(e.fatalAt) >= n || len(e.src) != want {
+				return bad("phi edge")
+			}
+			for _, s := range e.src {
+				if !slotOK(int(s)) {
+					return bad("phi edge slot")
+				}
+			}
+		}
+	}
+	for _, ce := range fc.callTab {
+		if ce.in.Op != ir.OpCall || len(ce.args) != len(ce.callee.Params) {
+			return bad("call site")
+		}
+		for _, s := range ce.args {
+			if !slotOK(int(s)) {
+				return bad("call argument slot")
+			}
+		}
+	}
+	for i, mt := range fc.meta {
+		if len(mt.argSlots) != len(fc.instrs[i].Args) {
+			return bad("operand list")
+		}
+		for _, s := range mt.argSlots {
+			if !slotOK(int(s)) {
+				return bad("operand slot")
+			}
+		}
+	}
+	opAt := func(pc int32) vop { return vop(fc.code[pc] >> 56) }
+	for pc := int32(0); pc < nCode; pc += 2 {
+		w0, w1 := fc.code[pc], fc.code[pc+1]
+		op := vop(w0 >> 56)
+		dst := int(w0 >> 42 & (maxSlots - 1))
+		a := int(w0 >> 28 & (maxSlots - 1))
+		b := int(w0 >> 14 & (maxSlots - 1))
+		c := int(w0 & (maxSlots - 1))
+		src := int(uint32(w1 >> 32))
+		aux := uint32(w1)
+		if op == vopInvalid || op >= numVops {
+			return bad("opcode")
+		}
+		if src >= fc.nLocals {
+			return bad("instruction index")
+		}
+		if !slotOK(a) || !slotOK(b) || (op != vopRet && !slotOK(dst)) || (op == vopRet && dst > 1) {
+			return bad("slot")
+		}
+		if op == vopGEP || op == vopGEPLoad {
+			if c < 1 || c > 64 {
+				return bad("gep index width")
+			}
+		} else if !slotOK(c) {
+			return bad("slot")
+		}
+		in := fc.instrs[src]
+		ok := vopFor(in) == op
+		next := pc + 2 // where straight-line execution continues
+		switch op {
+		case vopLoad, vopStore:
+			ok = ok && aux == memAux(in) // access size and alignment divisor
+		case vopBr:
+			ok, next = ok && int(aux) < len(fc.brTab), -1
+		case vopCondBr:
+			ok, next = ok && int(aux) < len(fc.condTab), -1
+		case vopCall:
+			ok = ok && int(aux) < len(fc.callTab)
+		case vopPhiGroup:
+			ok, next = ok && int(aux) < len(fc.phiTab), -1
+		case vopTrap: // any instruction can trap
+			ok, next = int(aux) < len(fc.trapTab), -1
+		case vopRet, vopAbort, vopDetect:
+			next = -1
+		case vopICmpBr:
+			ok, next = in.Op == ir.OpICmp && pc+2 < nCode && opAt(pc+2) == vopCondBr, -1
+		case vopGEPLoad:
+			ok, next = in.Op == ir.OpGEP && pc+2 < nCode && opAt(pc+2) == vopLoad, pc+4
+		}
+		if !ok {
+			return bad(fmt.Sprintf("word at pc %d", pc))
+		}
+		if next >= nCode {
+			return bad("fall-through")
+		}
+	}
+	return nil
 }

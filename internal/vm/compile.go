@@ -47,9 +47,7 @@ func (c *fnCompiler) compile() (*fnCode, error) {
 		constBase:  nLocals + nParams,
 		frameSize:  size,
 		entryInstr: fn.Entry().Instrs[0],
-		pcOfLocal:  make([]int32, nLocals),
 		blockPC:    make([]int32, len(fn.Blocks)),
-		fellPC:     make([]int32, len(fn.Blocks)),
 	}
 	c.fc = fc
 
@@ -109,10 +107,7 @@ func (c *fnCompiler) compile() (*fnCode, error) {
 			}
 		}
 		if blk.Terminator() == nil {
-			fc.fellPC[bi] = c.pc()
 			c.emitTrap(blk.Instrs[len(blk.Instrs)-1], trapFellThrough)
-		} else {
-			fc.fellPC[bi] = -1
 		}
 	}
 	// Resolve branch targets now that every block's pc is known.
@@ -177,14 +172,9 @@ func (c *fnCompiler) slotOf(v ir.Value) (int, error) {
 // emitTrap emits a vopTrap for a walker runtime fatal.
 func (c *fnCompiler) emitTrap(in *ir.Instr, kind int) {
 	fc := c.fc
-	c.notePC(in)
 	aux := uint32(len(fc.trapTab))
 	fc.trapTab = append(fc.trapTab, trapEntry{in: in, kind: kind})
 	fc.code = append(fc.code, encWord0(vopTrap, 0, 0, 0, 0), encWord1(in.LocalID, aux))
-}
-
-func (c *fnCompiler) notePC(in *ir.Instr) {
-	c.fc.pcOfLocal[in.LocalID] = c.pc()
 }
 
 func auxFits(v int64) bool { return v >= 0 && v <= math.MaxUint32 }
@@ -210,8 +200,8 @@ func (c *fnCompiler) tryFuse(blk *ir.Block, i int) (bool, error) {
 	if err := c.emitAs(fusedOp, in); err != nil {
 		return false, err
 	}
-	// The second half keeps its plain encoding in its own slot, so a
-	// snapshot resume landing on it dispatches the unfused op.
+	// The second half keeps its plain encoding in its own slot; the
+	// fused handler decodes its words from there.
 	if err := c.emit(next); err != nil {
 		return false, err
 	}
@@ -230,9 +220,7 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		return err
 	}
 	fc.meta[in.LocalID] = instrMeta{argSlots: slots}
-	c.notePC(in)
 
-	var op vop
 	var dst, a, b, cc int
 	var aux uint32
 	if !in.Type().IsVoid() {
@@ -251,7 +239,6 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = intArithVop(in.Op)
 		if !in.Ty.IsInt() || in.Ty.Bits <= 0 || in.Ty.Bits > 64 {
 			return fmt.Errorf("%w: integer arithmetic with non-integer type", ErrUnsupported)
 		}
@@ -260,22 +247,18 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopFArith
 	case in.Op.IsMathUnary():
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op = vopMathUnary
 	case in.Op.IsMathBinary():
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopMathBinary
 	case in.Op == ir.OpICmp:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopICmp
 		w := in.Args[0].Type().BitWidth()
 		if w <= 0 || w > 64 {
 			return fmt.Errorf("%w: icmp operand width %d", ErrUnsupported, w)
@@ -285,14 +268,12 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopFCmp
 	case in.Op.IsConversion():
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op, aux = convertVop(in)
+		_, aux = convertVop(in)
 	case in.Op == ir.OpAlloca:
-		op = vopAlloca
 		off := c.offsets[in]
 		if !auxFits(int64(off)) {
 			return fmt.Errorf("%w: alloca offset %d", ErrUnsupported, off)
@@ -302,27 +283,24 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op = vopLoad
 		sz, al := in.Elem.Size(), in.Elem.Align()
 		if sz <= 0 || sz > 255 || al <= 0 || al > 255 {
 			return fmt.Errorf("%w: load size %d align %d", ErrUnsupported, sz, al)
 		}
-		aux = alignCode(sz, al)<<16 | maskWidth(in.Ty)<<8 | uint32(sz)
+		aux = memAux(in)
 	case in.Op == ir.OpStore:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopStore
 		sz, al := in.Elem.Size(), in.Elem.Align()
 		if sz <= 0 || sz > 255 || al <= 0 || al > 255 {
 			return fmt.Errorf("%w: store size %d align %d", ErrUnsupported, sz, al)
 		}
-		aux = alignCode(sz, al)<<8 | uint32(sz)
+		aux = memAux(in)
 	case in.Op == ir.OpGEP:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopGEP
 		stride := in.Elem.Size()
 		if !auxFits(stride) {
 			return fmt.Errorf("%w: gep stride %d", ErrUnsupported, stride)
@@ -337,27 +315,23 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if len(in.Args) != 3 {
 			return c.badArity(in)
 		}
-		op = vopSelect
 		aux = maskWidth(in.Ty)
 	case in.Op == ir.OpBr:
 		if len(in.Blocks) != 1 {
 			return c.badArity(in)
 		}
-		op = vopBr
 		aux = uint32(len(fc.brTab))
 		fc.brTab = append(fc.brTab, brTarget{from: in.Parent})
 	case in.Op == ir.OpCondBr:
 		if len(in.Args) != 1 || len(in.Blocks) != 2 {
 			return c.badArity(in)
 		}
-		op = vopCondBr
 		aux = uint32(len(fc.condTab))
 		fc.condTab = append(fc.condTab, condTarget{from: in.Parent})
 	case in.Op == ir.OpRet:
 		if len(in.Args) > 1 {
 			return c.badArity(in)
 		}
-		op = vopRet
 		if len(in.Args) == 1 {
 			dst = 1
 		}
@@ -365,40 +339,91 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		if in.Callee == nil || len(in.Args) != len(in.Callee.Params) {
 			return fmt.Errorf("%w: call arity mismatch", ErrUnsupported)
 		}
-		op = vopCall
 		aux = uint32(len(fc.callTab))
 		fc.callTab = append(fc.callTab, callEntry{in: in, callee: in.Callee, args: slots})
 	case in.Op == ir.OpMalloc:
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op = vopMalloc
 	case in.Op == ir.OpFree:
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op = vopFree
 	case in.Op == ir.OpOutput:
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op = vopOutput
 		aux = uint32(in.Args[0].Type().BitWidth())
 	case in.Op == ir.OpAbort:
-		op = vopAbort
 	case in.Op == ir.OpDetect:
-		op = vopDetect
 	default:
 		// The walker raises "unimplemented opcode" only when execution
 		// reaches the instruction; compilation is eager, so the whole
 		// function falls back and the walker keeps that behavior.
 		return fmt.Errorf("%w: opcode %s", ErrUnsupported, in.Op)
 	}
+	op := vopFor(in)
 	if fusedOp != 0 {
 		op = fusedOp
 	}
 	fc.code = append(fc.code, encWord0(op, dst, a, b, cc), encWord1(in.LocalID, aux))
 	return nil
+}
+
+// vopFor returns the plain opcode the compiler emits for in (vopInvalid
+// for an instruction it cannot compile); the decoder uses it to check
+// that every code word names an instruction of its own kind.
+func vopFor(in *ir.Instr) vop {
+	switch {
+	case in.Op.IsIntArith():
+		return intArithVop(in.Op)
+	case in.Op.IsFloatArith():
+		return vopFArith
+	case in.Op.IsMathUnary():
+		return vopMathUnary
+	case in.Op.IsMathBinary():
+		return vopMathBinary
+	case in.Op.IsConversion() && len(in.Args) == 1:
+		op, _ := convertVop(in)
+		return op
+	}
+	switch in.Op {
+	case ir.OpICmp:
+		return vopICmp
+	case ir.OpFCmp:
+		return vopFCmp
+	case ir.OpAlloca:
+		return vopAlloca
+	case ir.OpLoad:
+		return vopLoad
+	case ir.OpStore:
+		return vopStore
+	case ir.OpGEP:
+		return vopGEP
+	case ir.OpSelect:
+		return vopSelect
+	case ir.OpBr:
+		return vopBr
+	case ir.OpCondBr:
+		return vopCondBr
+	case ir.OpRet:
+		return vopRet
+	case ir.OpCall:
+		return vopCall
+	case ir.OpMalloc:
+		return vopMalloc
+	case ir.OpFree:
+		return vopFree
+	case ir.OpOutput:
+		return vopOutput
+	case ir.OpAbort:
+		return vopAbort
+	case ir.OpDetect:
+		return vopDetect
+	case ir.OpPhi:
+		return vopPhiGroup
+	}
+	return vopInvalid
 }
 
 func intArithVop(op ir.Opcode) vop {
@@ -467,6 +492,16 @@ func convertVop(in *ir.Instr) (vop, uint32) {
 		}
 	}
 	return vopConvert, mw
+}
+
+// memAux is a load's or store's aux word: the alignment code, for loads
+// the result mask width, and the access size.
+func memAux(in *ir.Instr) uint32 {
+	sz, al := in.Elem.Size(), in.Elem.Align()
+	if in.Op == ir.OpLoad {
+		return alignCode(sz, al)<<16 | maskWidth(in.Ty)<<8 | uint32(sz)
+	}
+	return alignCode(sz, al)<<8 | uint32(sz)
 }
 
 // alignCode encodes a memory access's alignment requirement for the
@@ -568,7 +603,6 @@ func (c *fnCompiler) emitPhiGroup(blk *ir.Block) (int, error) {
 		fc.maxPhi = n
 	}
 	aux := uint32(len(fc.phiTab))
-	c.notePC(phis[0])
 	fc.code = append(fc.code, encWord0(vopPhiGroup, 0, 0, 0, 0), encWord1(phis[0].LocalID, aux))
 	for _, in := range phis[1:] {
 		c.emitTrap(in, trapMidBlockPhi)

@@ -70,11 +70,18 @@ type machine struct {
 	fatal     error
 	converged bool
 	conv      *convState
-	// convAt is the event index of the next pending golden checkpoint:
-	// the dispatch loop calls tryConverge only once dyn reaches it.
-	// math.MaxInt64 when no check can succeed yet (no convergence, or an
-	// injection still to apply).
+	// convAt gates the dispatch loop's one slow-path check (checkpoint):
+	// for a resumed run, the event index of the next pending golden
+	// checkpoint; for Exec.Advance, the first event at which the next
+	// dispatch could retire past stop. math.MaxInt64 when no check can
+	// succeed yet (no convergence, or an injection still to apply).
 	convAt int64
+	// stop is Exec.Advance's pause bound (-1 for Run and Resume); paused
+	// reports that the run stopped there. maxCost is the most events one
+	// dispatch retires (a fused pair or the widest phi group).
+	stop    int64
+	paused  bool
+	maxCost int64
 
 	phiVals []uint64
 	phiIdx  []int64
@@ -91,6 +98,7 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 		max:     cfg.MaxDynInstrs,
 		inj:     cfg.Injection,
 		convAt:  math.MaxInt64,
+		stop:    -1,
 	}
 	switch cfg.Align {
 	case interp.AlignNone:
@@ -108,6 +116,7 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 	}
 	m.phiVals = make([]uint64, maxPhi)
 	m.phiIdx = make([]int64, maxPhi)
+	m.maxCost = int64(max(2, maxPhi))
 	if cfg.Record {
 		m.rec = trace.NewRecorder(p.mod)
 	}
@@ -117,6 +126,17 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 // Run executes the program's entry function under cfg, producing a
 // Result bit-identical to interp.Run on the same module.
 func (p *Program) Run(cfg interp.Config) (*interp.Result, error) {
+	m, err := p.start(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.run()
+	return m.finish()
+}
+
+// start builds a machine at event 0: configuration normalized, globals
+// loaded into a fresh address space, entry frame pushed.
+func (p *Program) start(cfg interp.Config) (*machine, error) {
 	cfg, entry, err := interp.Normalize(p.mod, cfg)
 	if err != nil {
 		return nil, err
@@ -128,8 +148,7 @@ func (p *Program) Run(cfg interp.Config) (*interp.Result, error) {
 	}
 	m := newMachine(p, cfg, as, globals)
 	m.pushFrame(p.fnIdx[entry], nil, nil)
-	m.run()
-	return m.finish()
+	return m, nil
 }
 
 // finish assembles the Result exactly as the walker does.
@@ -267,7 +286,7 @@ func (m *machine) injectBits(in *ir.Instr, bits uint64) uint64 {
 // after calls and returns; the inner loop executes straight-line code of
 // the top frame with everything hot in locals.
 func (m *machine) run() {
-	for len(m.stack) > 0 && m.exc == nil && !m.hang && m.fatal == nil {
+	for len(m.stack) > 0 && m.exc == nil && !m.hang && m.fatal == nil && !m.paused {
 		fr := m.stack[len(m.stack)-1]
 		fc := fr.fc
 		code := fc.code
@@ -287,7 +306,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 	for {
 		if m.dyn >= m.convAt {
 			fr.pc = pc
-			if m.tryConverge() {
+			if m.checkpoint(fc, pc) {
 				return
 			}
 		}

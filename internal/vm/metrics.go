@@ -72,13 +72,9 @@ func noteCompile(p *Program) {
 	r.Counter("epvf_vm_code_cache_total", "outcome", "miss").Add(int64(p.CacheMisses))
 }
 
-// NoteFallback counts one decision to run the walker instead of the VM
-// (unsupported construct, compile failure, unmappable snapshot).
-func NoteFallback(reason string) { noteFallbackReason(reason) }
-
-func noteFallback(reason string) { noteFallbackReason(reason) }
-
-func noteFallbackReason(reason string) {
+// noteFallback counts one module the VM could not compile, which
+// therefore runs on the walker.
+func noteFallback(reason string) {
 	publishExpvar()
 	vmStats.fallbacks.Add(1)
 	if r := obs.Default(); r != nil {

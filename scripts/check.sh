@@ -36,8 +36,8 @@ go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... 
     ./internal/rangeprop/... ./internal/epvf/... ./internal/trace/... \
     ./cmd/epvf/... ./cmd/campaign/...
 
-echo "== vm differential smoke (walker vs bytecode VM, fuzz corpus seeds)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|FuzzDifferential' -count=1
+echo "== vm smoke (VM runs and snapshot resumes vs the walker oracle, fuzz corpus seeds, vm-code-v1 decoder corpus)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialResume|FuzzDifferential|FuzzDecodeFnCode|TestFuzzDecodeFnCodeCorpus' -count=1
 
 echo "== trace load fuzz smoke (committed FuzzLoad seed corpus: kernels, truncated, corrupted)"
 go test ./internal/trace/ -run 'FuzzLoad|TestFuzzLoadCorpus' -count=1
